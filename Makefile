@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzArenaOps -fuzztime $(FUZZTIME) ./internal/ptalloc/
 	$(GO) test -run '^$$' -fuzz FuzzTLBIndex -fuzztime $(FUZZTIME) ./internal/tlb/
 	$(GO) test -run '^$$' -fuzz FuzzChurnOps -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzReplicaOps -fuzztime $(FUZZTIME) ./internal/service/
 
 # bench runs every benchmark once — a compile-and-smoke pass, not a
 # measurement; use -benchtime with the go tool directly for numbers.
@@ -74,15 +75,15 @@ bench-mmu:
 	| $(GO) run ./cmd/benchjson > BENCH_mmu.json
 
 # bench-replica measures the replicated page-table service — read
-# scaling across goroutines × replication factor (with the plain
-# single-table Service as the factor-1 baseline) and the broadcast
-# write cost that climbs with the factor — and snapshots the result as
+# scaling across goroutines × replication factor (factor 1 is the plain
+# single-table service) and the broadcast write cost that climbs with
+# the factor — and snapshots the result as
 # BENCH_replica.json. The read-mostly claim lives here: R=8/g8 vs
 # R=1/g8 is the contention the replication removes — on a multi-core
 # host; with one CPU the read curves collapse to serial cost (the
 # write curve's linear climb with R shows regardless). Regenerate
 # after service or replication changes and commit the diff.
 bench-replica:
-	$(GO) test -run '^$$' -bench 'BenchmarkReplicatedRead|BenchmarkSingleServiceRead|BenchmarkReplicatedWrite' \
+	$(GO) test -run '^$$' -bench 'BenchmarkReplicated(Read|Write)' \
 	  -benchmem -count 3 ./internal/service/ \
 	| $(GO) run ./cmd/benchjson > BENCH_replica.json

@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -65,7 +66,7 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ptsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -156,8 +157,7 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 	// instead of the raw per-walk lines.
 	var nodes []*svc.Node
 	if *replicas > 0 {
-		rep, err := svc.NewReplicated(
-			svc.ReplicatedConfig{Config: svc.Config{Stripes: 32, CacheSlots: 1024}, Replicas: *replicas},
+		rep, err := svc.New(svc.Config{Stripes: 32, CacheSlots: 1024, Replicas: *replicas},
 			func(int) (pagetable.PageTable, error) {
 				rt, err := newTable(m)
 				if err != nil {
@@ -298,7 +298,8 @@ func servicePrefetched(snap trace.ProcessSnapshot, n int, cellSeed uint64, servi
 	return nil
 }
 
-func run(ctx context.Context) error {
+// run simulates the configured cell and prints its report to w.
+func run(ctx context.Context, w io.Writer) error {
 	p, ok := trace.ProfileByName(*workload)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", *workload)
@@ -351,7 +352,7 @@ func run(ctx context.Context) error {
 	var totLines, totMisses, totAccesses uint64
 	var totSvcHits, totLocal, totRemote uint64
 	for _, r := range results {
-		fmt.Println(r.info)
+		fmt.Fprintln(w, r.info)
 		totLines += r.lines
 		totMisses += r.misses
 		totAccesses += r.accesses
@@ -365,17 +366,17 @@ func run(ctx context.Context) error {
 	if !mcfg.Flat() {
 		mmuNote = fmt.Sprintf(" mmu=%s", mcfg)
 	}
-	fmt.Printf("\nworkload=%s table=%s tlb=%s entries=%d line=%d workers=%d shards=%d%s\n",
+	fmt.Fprintf(w, "\nworkload=%s table=%s tlb=%s entries=%d line=%d workers=%d shards=%d%s\n",
 		p.Name, *tableName, *tlbName, *entries, *lineSize, *workers, *shards, mmuNote)
-	fmt.Printf("accesses=%d misses=%d miss-ratio=%.5f\n",
+	fmt.Fprintf(w, "accesses=%d misses=%d miss-ratio=%.5f\n",
 		totAccesses, totMisses, float64(totMisses)/float64(totAccesses))
 	if totMisses > 0 {
-		fmt.Printf("avg cache lines / miss = %.3f\n", float64(totLines)/float64(totMisses))
+		fmt.Fprintf(w, "avg cache lines / miss = %.3f\n", float64(totLines)/float64(totMisses))
 	}
 	// The replica summary is appended only under -replicas, so the
 	// default output stays byte-identical to earlier releases.
 	if *replicas > 0 {
-		fmt.Printf("replicas=%d nodes=%d svc-cache-hits=%d local-lines=%d remote-lines=%d\n",
+		fmt.Fprintf(w, "replicas=%d nodes=%d svc-cache-hits=%d local-lines=%d remote-lines=%d\n",
 			*replicas, memcost.DefaultNodes, totSvcHits, totLocal, totRemote)
 	}
 	return nil

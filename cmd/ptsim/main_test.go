@@ -1,0 +1,66 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"strings"
+	"testing"
+)
+
+// simulate sets the flags named in args (name, value pairs) and returns
+// what run prints. Every test sets the same flag names, so no value
+// leaks from one test into the next.
+func simulate(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	for i := 0; i+1 < len(args); i += 2 {
+		if err := flag.Set(args[i], args[i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	err := run(context.Background(), &buf)
+	return buf.String(), err
+}
+
+const cellHeader = `gcc/cc1: table=clustered PTE bytes=11808 nodes=82 mappings=1069
+gcc/make: table=clustered PTE bytes=2880 nodes=20 mappings=139
+gcc/sh: table=clustered PTE bytes=2304 nodes=16 mappings=102
+gcc/script: table=clustered PTE bytes=2304 nodes=16 mappings=92
+
+workload=gcc table=clustered tlb=single entries=64 line=256 workers=1 shards=1
+accesses=20000 misses=16047 miss-ratio=0.80235
+`
+
+// TestOutputPinned pins the report of one gcc cell, unreplicated and
+// with misses served through two replicas, and holds it identical at
+// one and two workers (only the echoed -workers value may differ).
+func TestOutputPinned(t *testing.T) {
+	for _, tc := range []struct{ replicas, want string }{
+		{"0", cellHeader + "avg cache lines / miss = 1.007\n"},
+		{"2", cellHeader + "avg cache lines / miss = 0.878\n" +
+			"replicas=2 nodes=8 svc-cache-hits=8042 local-lines=2036 remote-lines=12048\n"},
+	} {
+		for _, workers := range []string{"1", "2"} {
+			got, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", "single",
+				"refs", "20000", "replicas", tc.replicas, "workers", workers)
+			if err != nil {
+				t.Fatalf("-replicas %s -workers %s: %v", tc.replicas, workers, err)
+			}
+			got = strings.Replace(got, " workers="+workers+" ", " workers=1 ", 1)
+			if got != tc.want {
+				t.Errorf("-replicas %s -workers %s:\n--- got ---\n%s--- want ---\n%s", tc.replicas, workers, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestReplicasRejectSubblock: complete-subblock prefetch bypasses the
+// replicated read path, so the combination is an error, not a panic.
+func TestReplicasRejectSubblock(t *testing.T) {
+	_, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", "subblock",
+		"refs", "20000", "replicas", "2", "workers", "1")
+	if err == nil || !strings.Contains(err.Error(), "subblock") {
+		t.Fatalf("-replicas 2 -tlb subblock: err = %v, want a subblock rejection", err)
+	}
+}

@@ -10,11 +10,10 @@ import (
 
 // Shared serializes a Hierarchy for concurrent callers. Like the TLB
 // models it composes, a Hierarchy mutates replacement state on every
-// Access, so reads need the same serialization as writes; Shared is the
-// hierarchy analogue of tlb.Locked. Translate bundles the common
-// service pattern — probe, and fill on a miss — under one critical
-// section so two racing misses for the same page cannot interleave
-// their probe and fill.
+// Access, so reads need the same serialization as writes. Translate
+// bundles the common service pattern — probe, and fill on a miss —
+// under one critical section so two racing misses for the same page
+// cannot interleave their probe and fill.
 type Shared struct {
 	mu sync.Mutex
 	// h's model state (per-level LRU, MRU filters, walk-cache tags,
@@ -25,13 +24,6 @@ type Shared struct {
 // NewShared wraps h behind one mutex.
 func NewShared(h *Hierarchy) *Shared {
 	return &Shared{h: h}
-}
-
-// Access serializes Hierarchy.Access.
-func (s *Shared) Access(va addr.V) Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Access(va)
 }
 
 // Translate drives the model with one resolved translation: it probes
@@ -50,24 +42,10 @@ func (s *Shared) Translate(va addr.V, e pte.Entry, walk pagetable.WalkCost) (Res
 	return r, cost
 }
 
-// Insert serializes Hierarchy.Insert.
-func (s *Shared) Insert(e pte.Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.h.Insert(e)
-}
-
-// Invalidate serializes the per-level single-page shootdown.
-func (s *Shared) Invalidate(vpn addr.VPN) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.h.Invalidate(vpn)
-}
-
 // InvalidateBatch shoots down many pages under one lock acquisition.
-// The replicated service's write broadcast invalidates a whole page
-// block on every replica's local hierarchy; paying one mutex round trip
-// per page would put the lock, not the model, on the profile.
+// The service's write rounds invalidate a whole page block on every
+// replica's hierarchy; paying one mutex round trip per page would put
+// the lock, not the model, on the profile.
 func (s *Shared) InvalidateBatch(vpns []addr.VPN) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -30,7 +30,7 @@ func TestSharedConcurrentTranslate(t *testing.T) {
 				va := addr.VAOf(vpn)
 				switch {
 				case i%97 == 0:
-					sh.Invalidate(vpn)
+					sh.InvalidateBatch([]addr.VPN{vpn})
 				case i%193 == 0:
 					sh.Shootdown()
 				default:

@@ -7,10 +7,6 @@ import (
 	"testing"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/core"
-	"clusterpt/internal/forward"
-	"clusterpt/internal/hashed"
-	"clusterpt/internal/linear"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
 	"clusterpt/internal/trace"
@@ -19,7 +15,7 @@ import (
 // The churn race stress: 16 goroutines replay trace.ChurnStream op
 // batches — whole-range maps, unmaps, touch sweeps — against one
 // service, all over the same layout so the streams collide on the same
-// pages and blocks constantly. Where race_test.go's OpStream mixes
+// pages and blocks constantly. Where the race storm's OpStream mixes
 // single-page ops, the churn streams hit the service with the range
 // shapes the dynamic replay uses (MapRange across block boundaries,
 // partial-block unmaps), which is exactly where striped locking and
@@ -28,11 +24,7 @@ import (
 func stressChurnService(t *testing.T, s *Service) {
 	t.Helper()
 	const workers = 16
-	p, ok := trace.ProfileByName("gcc")
-	if !ok {
-		t.Fatal("no gcc profile")
-	}
-	snap := p.Snapshot()[0]
+	snap := gccSnapshot(t)
 	cp, ok := trace.ChurnProfileByName("slab")
 	if !ok {
 		t.Fatal("no slab churn profile")
@@ -94,28 +86,9 @@ func stressChurnService(t *testing.T, s *Service) {
 		t.Error(err)
 	}
 
-	// Post-quiesce audits: surviving cache entries agree with the table,
-	for i := range s.cache {
-		c := s.cache[i].Load()
-		if c == nil {
-			continue
-		}
-		e, _, ok := s.table.Lookup(addr.VAOf(c.vpn))
-		if !ok {
-			t.Errorf("cache slot %d: vpn %#x cached but not mapped", i, uint64(c.vpn))
-			continue
-		}
-		if e.PPN != c.e.PPN || e.Attr != c.e.Attr {
-			t.Errorf("cache slot %d: vpn %#x cached (ppn %#x, %v), table (ppn %#x, %v)",
-				i, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
-		}
-	}
-	// incremental size accounting matches a ground-truth walk,
-	if a, ok := s.table.(interface{ AuditSize() pagetable.Size }); ok {
-		if got, want := s.table.Size(), a.AuditSize(); got != want {
-			t.Errorf("Size %+v disagrees with AuditSize %+v", got, want)
-		}
-	}
+	// Post-quiesce audits: surviving cache entries agree with the table
+	// and incremental size accounting matches a ground-truth walk,
+	auditReplicated(t, s, "post-churn")
 	// and measured memory is coherent (no torn arena stats).
 	ms := s.MemStats()
 	if ms.Nodes.Frees > ms.Nodes.Allocs || ms.Payload.Frees > ms.Payload.Allocs {
@@ -129,15 +102,8 @@ func stressChurnService(t *testing.T, s *Service) {
 
 // TestRaceChurnStress runs the churn storm against every organization.
 func TestRaceChurnStress(t *testing.T) {
-	cfg := Config{Stripes: 16, CacheSlots: 128}
-	for _, s := range []*Service{
-		MustWrap(core.MustNew(core.Config{Buckets: 256}), cfg),
-		MustWrap(core.MustNew(core.Config{Buckets: 64, SubblockFactor: 16, SparseNodes: true}), cfg),
-		MustWrap(hashed.MustNew(hashed.Config{Buckets: 256}), cfg),
-		MustWrap(forward.MustNew(forward.Config{}), cfg),
-		MustWrap(linear.MustNew(linear.Config{}), cfg),
-	} {
-		s := s
+	for _, org := range oracleOrgs {
+		s := MustWrap(org.build(), Config{Stripes: 16, CacheSlots: 128})
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
 			stressChurnService(t, s)

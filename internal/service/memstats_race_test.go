@@ -35,7 +35,7 @@ func TestRaceMemStats(t *testing.T) {
 			t.Parallel()
 			// A Reset table must look exactly like a fresh one — which for
 			// forward tables means one structural root node, not zero.
-			freshMS, freshSz := s.MemStats(), s.table.Size()
+			freshMS, freshSz := s.MemStats(), s.Table().Size()
 			for round := 0; round < 2; round++ {
 				stressMemStats(t, s)
 				s.Reset()
@@ -43,7 +43,7 @@ func TestRaceMemStats(t *testing.T) {
 					t.Fatalf("round %d: after Reset live %d bytes / %d objects, fresh table had %d / %d",
 						round, ms.LiveBytes(), ms.LiveObjects(), freshMS.LiveBytes(), freshMS.LiveObjects())
 				}
-				if st := s.table.Size(); st.Mappings != freshSz.Mappings || st.Nodes != freshSz.Nodes {
+				if st := s.Table().Size(); st.Mappings != freshSz.Mappings || st.Nodes != freshSz.Nodes {
 					t.Fatalf("round %d: after Reset table size %+v, fresh was %+v", round, st, freshSz)
 				}
 			}
@@ -117,11 +117,11 @@ func stressMemStats(t *testing.T, s *Service) {
 	// Quiesced: all pages unmapped, so nothing is live beyond structural
 	// nodes the organization retains (forward keeps only its root).
 	ms := s.MemStats()
-	sz := s.table.Size()
+	sz := s.Table().Size()
 	if sz.Mappings != 0 {
 		t.Fatalf("expected empty table, got %+v", sz)
 	}
-	if _, ok := s.table.(pagetable.MemReporter); ok {
+	if _, ok := s.Table().(pagetable.MemReporter); ok {
 		if ms.LiveObjects() > sz.Nodes+1 {
 			t.Errorf("measured %d live objects, table reports %d nodes", ms.LiveObjects(), sz.Nodes)
 		}

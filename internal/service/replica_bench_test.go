@@ -1,11 +1,11 @@
 package service
 
-// Replicated-table benchmarks, snapshotted by `make bench-replica` into
-// BENCH_replica.json. Two curves matter: read scaling (goroutines ×
+// Replicated-service benchmarks, snapshotted by `make bench-replica`
+// into BENCH_replica.json. Two curves matter: read scaling (goroutines ×
 // replication factor, where R>1 must pull ahead of R=1 once several
-// readers contend, and Replicated(1) must stay within noise of the
-// plain single-table Service), and the write-broadcast cost that pays
-// for it (every Map/Unmap locks and updates all R replicas).
+// readers contend; R=1 is the plain single-table service), and the
+// write-broadcast cost that pays for it (every Map/Unmap locks and
+// updates all R replicas).
 //
 // The read working set is sized well past the per-replica translation
 // cache so most lookups take the miss path through the stripe RWMutex —
@@ -36,13 +36,10 @@ const (
 	benchBase  = addr.VPN(0x1000)
 )
 
-func benchReplicated(b *testing.B, replicas int) *Replicated {
+func benchReplicated(b *testing.B, replicas int) *Service {
 	b.Helper()
-	r := MustNewReplicated(
-		ReplicatedConfig{Config: Config{Stripes: 64, CacheSlots: 256}, Replicas: replicas},
-		func(int) (pagetable.PageTable, error) {
-			return core.MustNew(core.Config{Buckets: 4096}), nil
-		})
+	r := mustNew(b, Config{Stripes: 64, CacheSlots: 256, Replicas: replicas},
+		func() pagetable.PageTable { return core.MustNew(core.Config{Buckets: 4096}) })
 	for i := 0; i < benchPages; i++ {
 		if err := r.Map(benchBase+addr.VPN(i), addr.PPN(0x8000+i), pte.AttrR); err != nil {
 			b.Fatal(err)
@@ -87,47 +84,6 @@ func BenchmarkReplicatedRead(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSingleServiceRead is the un-replicated baseline: the plain
-// striped Service under the same working set, stripe count, cache size
-// and reader counts. Replicated(1)'s read path must stay within noise
-// of this — the replication wrapper may not tax the factor-1 case.
-func BenchmarkSingleServiceRead(b *testing.B) {
-	for _, readers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("g%d", readers), func(b *testing.B) {
-			s := MustWrap(core.MustNew(core.Config{Buckets: 4096}),
-				Config{Stripes: 64, CacheSlots: 256})
-			for i := 0; i < benchPages; i++ {
-				if err := s.Map(benchBase+addr.VPN(i), addr.PPN(0x8000+i), pte.AttrR); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var lost atomic.Uint64
-			var wg sync.WaitGroup
-			per := b.N/readers + 1
-			for g := 0; g < readers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					off := uint64(g * 37)
-					for i := 0; i < per; i++ {
-						va := addr.VAOf(benchBase + addr.VPN(off%benchPages))
-						if _, ok := s.Lookup(va); !ok {
-							lost.Add(1)
-						}
-						off += 61
-					}
-				}(g)
-			}
-			wg.Wait()
-			if n := lost.Load(); n != 0 {
-				b.Fatalf("%d lookups missed a mapped page", n)
-			}
-		})
 	}
 }
 

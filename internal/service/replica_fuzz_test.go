@@ -24,11 +24,6 @@ import (
 // blocks, so vpn bytes reach block bases, interiors and boundaries.
 const fuzzBase = addr.VPN(0x400)
 
-type fuzzRef struct {
-	ppn  addr.PPN
-	attr pte.Attr
-}
-
 func FuzzReplicaOps(f *testing.F) {
 	// Structured seeds: a map/touch/unmap round at factor 4, a
 	// whole-block fill then demote at factor 8, and a reset sandwich at
@@ -58,16 +53,13 @@ func FuzzReplicaOps(f *testing.F) {
 			return
 		}
 		factor := 1 << (data[0] & 3) // 1, 2, 4, 8
-		r := MustNewReplicated(
-			ReplicatedConfig{Config: Config{Stripes: 16, CacheSlots: 128}, Replicas: factor},
-			func(int) (pagetable.PageTable, error) {
-				return core.MustNew(core.Config{Buckets: 128}), nil
-			})
+		r := mustNew(t, Config{Stripes: 16, CacheSlots: 128, Replicas: factor},
+			func() pagetable.PageTable { return core.MustNew(core.Config{Buckets: 128}) })
 		nodes := make([]*Node, r.Nodes())
 		for i := range nodes {
 			nodes[i] = r.Node(i)
 		}
-		model := make(map[addr.VPN]fuzzRef)
+		model := make(map[addr.VPN]refEntry)
 
 		check := func(n *Node, vpn addr.VPN, step int) {
 			t.Helper()
@@ -80,7 +72,7 @@ func FuzzReplicaOps(f *testing.F) {
 			ne, nok := n.Lookup(addr.VAOf(vpn))
 			if nok != wok || (wok && (ne.PPN != want.ppn || ne.Attr != want.attr)) {
 				t.Fatalf("step %d: node %d lookup %#x = (%#x,%v,%v), model (%#x,%v,%v)",
-					step, n.ID(), uint64(vpn), uint64(ne.PPN), ne.Attr, nok, uint64(want.ppn), want.attr, wok)
+					step, n.id, uint64(vpn), uint64(ne.PPN), ne.Attr, nok, uint64(want.ppn), want.attr, wok)
 			}
 		}
 
@@ -105,7 +97,7 @@ func FuzzReplicaOps(f *testing.F) {
 					t.Fatalf("step %d: map %#x (model mapped=%v): %v", steps, uint64(vpn), mapped, err)
 				}
 				if !mapped {
-					model[vpn] = fuzzRef{ppn, attr}
+					model[vpn] = refEntry{ppn: ppn, attr: attr}
 				}
 
 			case 1: // unmap
@@ -125,9 +117,9 @@ func FuzzReplicaOps(f *testing.F) {
 			case 4: // reset, kept rare so streams build real state between
 				if vb < 0x20 {
 					r.Reset()
-					model = make(map[addr.VPN]fuzzRef)
-					for ri := 0; ri < r.Replicas(); ri++ {
-						if got := r.Seq(ri); got != 0 {
+					model = make(map[addr.VPN]refEntry)
+					for ri, rep := range r.replicas {
+						if got := rep.seq.Load(); got != 0 {
 							t.Fatalf("step %d: replica %d seq %d after reset", steps, ri, got)
 						}
 					}
@@ -149,7 +141,7 @@ func FuzzReplicaOps(f *testing.F) {
 						steps, uint64(vpn), pages, n, err, wantN, wantErr)
 				}
 				for p := uint64(0); p < wantN; p++ {
-					model[vpn+addr.VPN(p)] = fuzzRef{ppn + addr.PPN(p), attr}
+					model[vpn+addr.VPN(p)] = refEntry{ppn: ppn + addr.PPN(p), attr: attr}
 				}
 			}
 

@@ -18,7 +18,7 @@ import (
 // what write rate does the shootdown tax of replicating a page table
 // across NUMA nodes eat the read-locality win, per organization? Each
 // point replays the identical eight per-node op streams against a
-// service.Replicated at one (factor, write-rate) coordinate; reads go
+// service.Service replicated at one (factor, write-rate) coordinate; reads go
 // through node-bound local paths priced by memcost.NUMAModel (remote
 // walks cost RemoteFactor× lines), writes broadcast to every replica
 // and pay the modeled IPI + remote-PTE-update lines. The replay is
@@ -113,8 +113,7 @@ func RunReplicationPoint(p trace.Profile, v TableVariant, factor, writePct int, 
 	}
 	snap := p.Snapshot()[0]
 	m := memcost.NewModel(256)
-	r, err := service.NewReplicated(
-		service.ReplicatedConfig{Config: service.Config{Stripes: 32, CacheSlots: 256}, Replicas: factor},
+	r, err := service.New(service.Config{Stripes: 32, CacheSlots: 256, Replicas: factor},
 		func(int) (pagetable.PageTable, error) { return v.New(m), nil })
 	if err != nil {
 		return ReplicationPoint{}, err
