@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,24 +43,30 @@ func TestGoldenOutput(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "golden.txt")
+	checkGolden(t, filepath.Join("testdata", "golden.txt"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", golden, buf.Len())
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("output diverged from %s (rerun with -update if intentional)\n--- got ---\n%s\n--- want ---\n%s",
-			golden, firstDiffWindow(buf.Bytes(), want), firstDiffWindow(want, buf.Bytes()))
+			golden, firstDiffWindow(got, want), firstDiffWindow(want, got))
 	}
 }
 
@@ -79,4 +86,37 @@ func firstDiffWindow(a, b []byte) []byte {
 		end = len(a)
 	}
 	return a[start:end]
+}
+
+// TestGoldenOutputMMU pins Figure 11a–d under the multi-level
+// translation pipelines (-mmu l2 and l2+pwc), which TestGoldenOutput
+// covers only through the hierarchy experiment's Figure 11a tables. The
+// shard identity tests compare serial with sharded replay, so they
+// cannot notice both paths drifting together; this file can. The worker
+// and shard counts vary from run to run as in TestGoldenOutput.
+//
+// Regenerate after an intentional change with:
+//
+//	go test ./cmd/ptrepro -run TestGoldenOutputMMU -update
+func TestGoldenOutputMMU(t *testing.T) {
+	*refsFlag = 20_000
+	*seedFlag = 1
+	*csvFlag = false
+	defer func() { *mmuFlag = "flat" }()
+
+	var buf bytes.Buffer
+	i := 0
+	for _, mode := range []string{"l2", "l2+pwc"} {
+		*mmuFlag = mode
+		for _, exp := range []string{"fig11a", "fig11b", "fig11c", "fig11d"} {
+			*workersFlag = 1 + i%4
+			*shardsFlag = 1 + (i*3)%8
+			i++
+			fmt.Fprintf(&buf, "== -mmu %s -exp %s\n", mode, exp)
+			if err := run(context.Background(), &buf, exp); err != nil {
+				t.Fatalf("%s/%s: %v", mode, exp, err)
+			}
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_mmu.txt"), buf.Bytes())
 }
