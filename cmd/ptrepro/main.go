@@ -14,7 +14,12 @@
 // Usage:
 //
 //	ptrepro [-exp all|<name>] [-refs N] [-seed S] [-workers N] [-shards K] [-replicas R] [-mmu flat|l2|l2+pwc] [-csv] [-v]
+//	        [-cpuprofile FILE] [-memprofile FILE]
 //	ptrepro -list
+//
+// -cpuprofile and -memprofile write stdlib pprof profiles; every cell
+// carries "experiment" and "cell" labels, so
+// `go tool pprof -tagfocus cell=hierarchy/coral` isolates one cell.
 package main
 
 import (
@@ -42,6 +47,8 @@ var (
 	mmuFlag      = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
 	verboseFlag  = flag.Bool("v", false, "log per-experiment progress to stderr")
 	listFlag     = flag.Bool("list", false, "list registered experiments and exit")
+	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile (labelled by experiment and cell) to this file")
+	memProfile   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 )
 
 func main() {
@@ -56,7 +63,7 @@ func main() {
 		list(os.Stdout)
 		return
 	}
-	if err := run(ctx, os.Stdout, *expFlag); err != nil {
+	if err := runProfiled(ctx, os.Stdout, *expFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "ptrepro: %v\n", err)
 		os.Exit(1)
 	}
@@ -104,6 +111,11 @@ func run(ctx context.Context, w io.Writer, exp string) error {
 		}
 	}
 	return err
+}
+
+// runProfiled is run under the -cpuprofile and -memprofile flags.
+func runProfiled(ctx context.Context, w io.Writer, exp string) error {
+	return engine.WithProfiles(*cpuProfile, *memProfile, func() error { return run(ctx, w, exp) })
 }
 
 // render writes a table in the selected format.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,6 +80,40 @@ func TestList(t *testing.T) {
 	for _, want := range []string{"table1", "fig9", "sweeps", "verify"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("list output missing %q", want)
+		}
+	}
+}
+
+// TestCPUProfileFlag: -cpuprofile and -memprofile write non-empty
+// profiles, and profiling never changes a rendered byte.
+func TestCPUProfileFlag(t *testing.T) {
+	*refsFlag = 20_000
+	*seedFlag = 1
+	*csvFlag = false
+	*workersFlag, *shardsFlag = 2, 2
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	defer func() { *cpuProfile, *memProfile = "", "" }()
+
+	var plain, profiled bytes.Buffer
+	if err := runProfiled(context.Background(), &plain, "hierarchy"); err != nil {
+		t.Fatal(err)
+	}
+	*cpuProfile, *memProfile = cpu, mem
+	if err := runProfiled(context.Background(), &profiled, "hierarchy"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatalf("profiling changed the output:\n--- profiled ---\n%s\n--- plain ---\n%s",
+			firstDiffWindow(profiled.Bytes(), plain.Bytes()), firstDiffWindow(plain.Bytes(), profiled.Bytes()))
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", path)
 		}
 	}
 }

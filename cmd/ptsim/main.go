@@ -20,6 +20,7 @@
 //	ptsim -w gcc -table clustered -tlb psb -line 128 -buckets 1024 -workers 4
 //	ptsim -w gcc -table forward -tlb single -mmu l2+pwc
 //	ptsim -w gcc -table forward -tlb single -replicas 8
+//	ptsim -w gcc -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -60,16 +61,23 @@ var (
 	shards    = flag.Int("shards", 1, "intra-cell replay lanes (shares the -workers budget; results identical at any value)")
 	mmuSpec   = flag.String("mmu", "flat", "translation hierarchy around the simulated TLB: flat, l2, or l2+pwc")
 	replicas  = flag.Int("replicas", 0, "replicate the page table across N NUMA-node replicas (0 = off): TLB misses are served through node-bound replicated read paths and priced by the NUMA line model")
+	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (labelled by cell) to this file")
+	memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 )
 
 func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, os.Stdout); err != nil {
+	if err := runProfiled(ctx, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ptsim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// runProfiled is run under the -cpuprofile and -memprofile flags.
+func runProfiled(ctx context.Context, w io.Writer) error {
+	return engine.WithProfiles(*cpuProf, *memProf, func() error { return run(ctx, w) })
 }
 
 func tlbKind() (tlb.Kind, sim.PTEMode, error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,7 +21,7 @@ func simulate(t *testing.T, args ...string) (string, error) {
 		}
 	}
 	var buf bytes.Buffer
-	err := run(context.Background(), &buf)
+	err := runProfiled(context.Background(), &buf)
 	return buf.String(), err
 }
 
@@ -62,5 +64,28 @@ func TestReplicasRejectSubblock(t *testing.T) {
 		"refs", "20000", "replicas", "2", "workers", "1")
 	if err == nil || !strings.Contains(err.Error(), "subblock") {
 		t.Fatalf("-replicas 2 -tlb subblock: err = %v, want a subblock rejection", err)
+	}
+}
+
+// TestCPUProfileFlag: -cpuprofile writes a non-empty profile and leaves
+// the report byte-identical.
+func TestCPUProfileFlag(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.out")
+	args := []string{"w", "gcc", "table", "clustered", "tlb", "single",
+		"refs", "20000", "replicas", "0", "workers", "2"}
+	plain, err := simulate(t, append(args, "cpuprofile", "")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("cpuprofile", "")
+	profiled, err := simulate(t, append(args, "cpuprofile", cpu)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled != plain {
+		t.Fatalf("profiling changed the report:\n--- profiled ---\n%s--- plain ---\n%s", profiled, plain)
+	}
+	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
+		t.Fatalf("cpu profile missing or empty: %v", err)
 	}
 }

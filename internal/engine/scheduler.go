@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,7 +139,13 @@ func fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T], workers in
 					h(rc.exp, c.Key)
 				}
 				start := time.Now() //ptlint:allow nodeterminism per-cell wall time feeds the CellDone hook, not cell results
-				v, err := c.Run(wctx, trace.DeriveSeed(rc.Seed, c.Key))
+				var v T
+				var err error
+				// Profiler labels name the cell in CPU profiles; the
+				// lanes a sharded cell starts inherit them.
+				pprof.Do(wctx, pprof.Labels("experiment", rc.exp, "cell", c.Key), func(ctx context.Context) {
+					v, err = c.Run(ctx, trace.DeriveSeed(rc.Seed, c.Key))
+				})
 				if err != nil {
 					fail(fmt.Errorf("cell %s: %w", c.Key, err))
 					continue

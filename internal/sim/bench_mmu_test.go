@@ -6,7 +6,10 @@ package sim
 // BenchmarkFigure11Replay/e64/indexed — the hierarchy plumbing is free
 // when unconfigured); l2 adds the per-miss L2 probe and its insert
 // traffic; l2+pwc adds the walk-cache probe on the tree-walked
-// variants. `make bench-mmu` snapshots these plus the internal/mmu
+// variants. fused replays all three pipelines in one
+// RunFigure11Pipelines pass over a shared L1 stage: the hierarchy
+// experiment's cell, to set against the sum of the three separate
+// rows. `make bench-mmu` snapshots these plus the internal/mmu
 // micro-benchmarks into BENCH_mmu.json.
 
 import (
@@ -21,11 +24,13 @@ func BenchmarkFigure11Hierarchy(b *testing.B) {
 	if !ok {
 		b.Fatal("no gcc profile")
 	}
+	var all []MMUConfig
 	for _, mode := range []string{"flat", "l2", "l2+pwc"} {
 		mcfg, err := ParseMMU(mode)
 		if err != nil {
 			b.Fatal(err)
 		}
+		all = append(all, mcfg)
 		for _, shards := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/s%d", mode, shards), func(b *testing.B) {
 				cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}, MMU: mcfg}
@@ -38,5 +43,17 @@ func BenchmarkFigure11Hierarchy(b *testing.B) {
 				}
 			})
 		}
+	}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("fused/s%d", shards), func(b *testing.B) {
+			cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunFigure11Pipelines(Fig11a, p, cfg, all); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -213,3 +213,92 @@ func TestReplayBufShardedSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("warmed ReplayBuf allocates %v times per cycle", allocs)
 	}
 }
+
+// TestFigure11PipelinesMatchSeparate is the acceptance gate for the
+// shared L1 stage: one RunFigure11Pipelines call over the flat, l2 and
+// l2+pwc pipelines must reproduce three separate RunFigure11 rows field
+// for field, for every traced workload and at every lane count, in any
+// pipeline order. Figures whose L1 refill depends on the pipeline must
+// refuse more than one pipeline with an error.
+func TestFigure11PipelinesMatchSeparate(t *testing.T) {
+	var mmus []MMUConfig
+	for _, spec := range []string{"flat", "l2", "l2+pwc"} {
+		m, err := ParseMMU(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mmus = append(mmus, m)
+	}
+	reordered := []int{2, 0, 1} // l2+pwc, flat, l2
+	for _, p := range trace.Profiles() {
+		if p.SnapshotOnly {
+			continue
+		}
+		want := make([]AccessRow, len(mmus))
+		for i, m := range mmus {
+			row, err := RunFigure11(Fig11a, p, AccessConfig{Refs: 30_000, MMU: m, Buf: &ReplayBuf{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = row
+		}
+		for _, shards := range []int{1, 2, 4, 8} {
+			cfg := AccessConfig{Refs: 30_000, Shards: shards, Buf: &ReplayBuf{}}
+			rows, err := RunFigure11Pipelines(Fig11a, p, cfg, mmus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range rows {
+				figureRowsEqual(t, fmt.Sprintf("%s/mmu=%v/shards=%d", p.Name, mmus[i], shards), row, want[i])
+			}
+			perm := make([]MMUConfig, len(reordered))
+			for i, j := range reordered {
+				perm[i] = mmus[j]
+			}
+			rows, err = RunFigure11Pipelines(Fig11a, p, cfg, perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := range reordered {
+				figureRowsEqual(t, fmt.Sprintf("%s/reordered/mmu=%v/shards=%d", p.Name, mmus[j], shards), rows[i], want[j])
+			}
+		}
+	}
+
+	gcc, ok := trace.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("no gcc profile")
+	}
+	// The most pipelines the miss record holds: the last pipeline's bits
+	// sit at the top of the page offset.
+	full := make([]MMUConfig, maxTails)
+	for i := range full {
+		full[i] = mmus[(i+2)%len(mmus)]
+	}
+	for _, shards := range []int{1, 4} {
+		rows, err := RunFigure11Pipelines(Fig11a, gcc, AccessConfig{Refs: 30_000, Shards: shards}, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range full {
+			want, err := RunFigure11(Fig11a, gcc, AccessConfig{Refs: 30_000, MMU: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			figureRowsEqual(t, fmt.Sprintf("gcc/tail %d/mmu=%v/shards=%d", i, m, shards), rows[i], want)
+		}
+	}
+	for _, f := range []Figure{Fig11b, Fig11c, Fig11d} {
+		for _, shards := range []int{1, 4} {
+			if _, err := RunFigure11Pipelines(f, gcc, AccessConfig{Refs: 2_000, Shards: shards}, mmus); err == nil {
+				t.Errorf("%v/shards=%d: %d pipelines accepted", f, shards, len(mmus))
+			}
+		}
+	}
+	if _, err := RunFigure11Pipelines(Fig11a, gcc, AccessConfig{Refs: 2_000}, nil); err == nil {
+		t.Error("no pipelines accepted")
+	}
+	if _, err := RunFigure11Pipelines(Fig11a, gcc, AccessConfig{Refs: 2_000}, make([]MMUConfig, maxTails+1)); err == nil {
+		t.Errorf("%d pipelines accepted; the miss record holds %d", maxTails+1, maxTails)
+	}
+}

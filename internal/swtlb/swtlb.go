@@ -177,6 +177,12 @@ func (c *Cache) setFor(key uint64) []entry {
 // miss penalty to a single memory access on a hit"), a miss pays the
 // failed probe over the set's tags.
 func (c *Cache) Probe(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
+	return c.probe(va, true)
+}
+
+// probe is Probe; metered=false skips the line accounting for callers
+// that need only the outcome.
+func (c *Cache) probe(va addr.V, metered bool) (pte.Entry, pagetable.WalkCost, bool) {
 	vpn := addr.VPNOf(va)
 	key := c.key(vpn)
 
@@ -197,24 +203,30 @@ func (c *Cache) Probe(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 			if !w.Valid() {
 				break // block cached but page absent: treat as miss
 			}
-			meter.Touch(c.cfg.CostModel,
-				[2]int{0, 8}, [2]int{8 + int(boff)*pte.WordBytes, pte.WordBytes})
-			probeCost.Lines = meter.Lines()
+			if metered {
+				meter.Touch(c.cfg.CostModel,
+					[2]int{0, 8}, [2]int{8 + int(boff)*pte.WordBytes, pte.WordBytes})
+				probeCost.Lines = meter.Lines()
+			}
 			ent.lru = c.tick
 			c.stats.Hits++
 			c.mu.Unlock()
 			return pte.EntryFromWord(w, vpn, boff), probeCost, true
 		}
-		meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes()})
-		probeCost.Lines = meter.Lines()
+		if metered {
+			meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes()})
+			probeCost.Lines = meter.Lines()
+		}
 		ent.lru = c.tick
 		c.stats.Hits++
 		c.mu.Unlock()
 		return pte.EntryFromWord(ent.words[0], vpn, 0), probeCost, true
 	}
 	// Miss: the failed probe touched the set's tags.
-	meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes() * len(set)})
-	probeCost.Lines = meter.Lines()
+	if metered {
+		meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes() * len(set)})
+		probeCost.Lines = meter.Lines()
+	}
 	c.stats.Misses++
 	c.mu.Unlock()
 	return pte.Entry{}, probeCost, false
@@ -239,7 +251,7 @@ func (c *Cache) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 
 // Access implements mmu.Level: the probe alone, hit/miss outcome.
 func (c *Cache) Access(va addr.V) mmu.Result {
-	_, _, hit := c.Probe(va)
+	_, _, hit := c.probe(va, false)
 	return mmu.Result{Hit: hit}
 }
 
@@ -273,7 +285,7 @@ func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
 	ent.lru = c.tick
 	if c.cfg.Clustered {
 		_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
-		ent.words = make([]pte.Word, 1<<c.cfg.LogSBF)
+		ent.words = reuseWords(ent.words, 1<<c.cfg.LogSBF)
 		ent.words[boff] = wordFromEntry(e)
 		// Gather the rest of the block when the backing table can do it
 		// cheaply (clustered/linear adjacency).
@@ -288,7 +300,20 @@ func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
 		}
 		return
 	}
-	ent.words = []pte.Word{wordFromEntry(e)}
+	ent.words = append(reuseWords(ent.words, 0), wordFromEntry(e))
+}
+
+// reuseWords returns n cleared words, reusing the victim slot's backing
+// array when it is large enough: fills replace victims millions of
+// times per replay, and nothing outside the locked slot retains its
+// words.
+func reuseWords(words []pte.Word, n int) []pte.Word {
+	if cap(words) < n {
+		return make([]pte.Word, n)
+	}
+	words = words[:n]
+	clear(words)
+	return words
 }
 
 // wordFromEntry reconstructs a base mapping word for caching. Superpage
