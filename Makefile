@@ -16,10 +16,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-# lint is the merge gate: go vet plus the repo's own analyzer suite
-# (cmd/ptlint). ptlint exits non-zero on any unsuppressed finding;
+# lint is the merge gate: gofmt, go vet, and the repo's own analyzer
+# suite (cmd/ptlint). The gofmt step fails if any file needs
+# reformatting; ptlint exits non-zero on any unsuppressed finding;
 # -stats reports per-analyzer wall time on stderr.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/ptlint -stats ./...
 
@@ -47,12 +49,11 @@ bench-alloc:
 	  $(GO) test -run '^$$' -bench BenchmarkMeterTouch -benchmem -count 3 ./internal/memcost/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_alloc.json
 
-# bench-replay measures the reference-replay fast path — indexed vs
-# linear-scan TLB lookup, buffered zero-alloc trace generation, and the
-# end-to-end Figure 11 replay, serial vs sharded at 1/2/4/8 lanes — and
-# snapshots the result as BENCH_replay.json. The indexed/scan pairs
-# share every other line of code, so the ratio isolates the index; the
-# serial/sharded pairs render identical bytes, so the ratio isolates
+# bench-replay measures the reference-replay fast path — indexed TLB
+# lookup per kind at 64–1024 entries, buffered zero-alloc trace
+# generation, and the end-to-end Figure 11 replay, serial vs sharded at
+# 1/2/4/8 lanes — and snapshots the result as BENCH_replay.json. The
+# serial/sharded pairs render identical bytes, so their ratio isolates
 # the pipeline. Regenerate after TLB or replay changes and commit the
 # diff.
 bench-replay:

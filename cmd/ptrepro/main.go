@@ -53,7 +53,7 @@ var (
 
 func main() {
 	flag.Parse()
-	if _, err := sim.ParseMMU(*mmuFlag); err != nil {
+	if err := checkFlags(); err != nil {
 		fmt.Fprintf(os.Stderr, "ptrepro: %v\n", err)
 		os.Exit(2)
 	}
@@ -67,6 +67,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ptrepro: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values no experiment can honor.
+func checkFlags() error {
+	if *refsFlag < 0 {
+		return fmt.Errorf("-refs %d: must not be negative", *refsFlag)
+	}
+	_, err := sim.ParseMMU(*mmuFlag)
+	return err
 }
 
 func newEngine() *engine.Engine {

@@ -73,6 +73,27 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestCheckFlags: a negative -refs and an unknown -mmu are flag errors,
+// caught before any experiment runs.
+func TestCheckFlags(t *testing.T) {
+	defer func() { *refsFlag, *mmuFlag = 400_000, "flat" }()
+	for _, tc := range []struct {
+		refs int
+		mmu  string
+		ok   bool
+	}{
+		{400_000, "flat", true},
+		{0, "l2+pwc", true},
+		{-5, "flat", false},
+		{400_000, "l3", false},
+	} {
+		*refsFlag, *mmuFlag = tc.refs, tc.mmu
+		if err := checkFlags(); (err == nil) != tc.ok {
+			t.Errorf("-refs %d -mmu %s: err = %v, want ok=%v", tc.refs, tc.mmu, err, tc.ok)
+		}
+	}
+}
+
 func TestList(t *testing.T) {
 	var buf bytes.Buffer
 	list(&buf)

@@ -156,7 +156,10 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 	// Misses stay the L1 miss count (an L2 hit is still an L1 miss) so
 	// the avg-lines denominator is comparable across modes; the L2 probe
 	// lines accumulate in the hierarchy's probe meter and fold in below.
-	t := tlb.MustNew(tlb.Config{Kind: kind, Entries: *entries})
+	t, err := tlb.New(tlb.Config{Kind: kind, Entries: *entries})
+	if err != nil {
+		return res, err
+	}
 	h := mcfg.BuildHierarchy(t, build.Table, m)
 
 	// Under -replicas, misses route through node-bound read paths of a
@@ -306,8 +309,24 @@ func servicePrefetched(snap trace.ProcessSnapshot, n int, cellSeed uint64, servi
 	return nil
 }
 
+// checkFlags rejects numeric flag values the simulator cannot honor.
+func checkFlags() error {
+	switch {
+	case *entries < 1:
+		return fmt.Errorf("-entries %d: need at least one TLB entry", *entries)
+	case *lineSize < 8 || *lineSize&(*lineSize-1) != 0:
+		return fmt.Errorf("-line %d: need a power of two of at least 8 bytes", *lineSize)
+	case *refs < 0:
+		return fmt.Errorf("-refs %d: must not be negative", *refs)
+	}
+	return nil
+}
+
 // run simulates the configured cell and prints its report to w.
 func run(ctx context.Context, w io.Writer) error {
+	if err := checkFlags(); err != nil {
+		return err
+	}
 	p, ok := trace.ProfileByName(*workload)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", *workload)

@@ -67,6 +67,42 @@ func TestReplicasRejectSubblock(t *testing.T) {
 	}
 }
 
+// TestRejectsBadNumericFlags: an out-of-range -entries, -line or -refs
+// is an error reported before any cell runs, never a panic, a silent
+// default, or a wrapped-around total.
+func TestRejectsBadNumericFlags(t *testing.T) {
+	t.Cleanup(func() {
+		flag.Set("entries", "64")
+		flag.Set("line", "256")
+		flag.Set("refs", "400000")
+	})
+	for _, tc := range []struct{ name, value string }{
+		{"entries", "-1"},
+		{"entries", "0"},
+		{"line", "100"},
+		{"line", "4"},
+		{"line", "0"},
+		{"refs", "-5"},
+	} {
+		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			out, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", "single",
+				"refs", "20000", "entries", "64", "line", "256", "replicas", "0", "workers", "1",
+				tc.name, tc.value)
+			if err == nil || !strings.Contains(err.Error(), "-"+tc.name) {
+				t.Fatalf("err = %v, want a -%s error", err, tc.name)
+			}
+			if out != "" {
+				t.Fatalf("printed a report before failing:\n%s", out)
+			}
+		})
+	}
+}
+
 // TestCPUProfileFlag: -cpuprofile writes a non-empty profile and leaves
 // the report byte-identical.
 func TestCPUProfileFlag(t *testing.T) {

@@ -3,13 +3,11 @@ package mmu_test
 // Differential and unit tests for the composable hierarchy. The
 // flat-identity suite is the refactor's acceptance gate: a Hierarchy
 // wrapping a single TLB must be observably indistinguishable from the
-// bare TLB — same Access results, same Stats after every operation, in
-// both scan and indexed modes — so victim choices cannot have diverged
-// (a different victim surfaces as a different hit/miss on the next
-// revisit, and Stats compare exactly).
+// bare TLB — same Access results, same Stats after every operation — so
+// victim choices cannot have diverged (a different victim surfaces as a
+// different hit/miss on the next revisit, and Stats compare exactly).
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -44,64 +42,62 @@ func flatEntry(x uint64) pte.Entry {
 // TestFlatHierarchyIdentity drives identical randomized op streams —
 // accesses, inserts, block fills, single-page invalidates, flushes —
 // through a Hierarchy-wrapped TLB and a bare twin of the same
-// configuration, for every kind in both scan and indexed modes.
+// configuration, for every kind.
 func TestFlatHierarchyIdentity(t *testing.T) {
 	kinds := []tlb.Kind{tlb.SinglePageSize, tlb.Superpage, tlb.PartialSubblock, tlb.CompleteSubblock}
 	for _, kind := range kinds {
-		for _, scan := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/scan=%v", kind, scan), func(t *testing.T) {
-				for seed := int64(0); seed < 3; seed++ {
-					wrapped := tlb.MustNew(tlb.Config{Kind: kind, Entries: 16, LogSBF: 4, Scan: scan})
-					bare := tlb.MustNew(tlb.Config{Kind: kind, Entries: 16, LogSBF: 4, Scan: scan})
-					h := mmu.NewHierarchy(wrapped)
-					if !h.Flat() {
-						t.Fatal("single-level hierarchy does not report Flat")
+		t.Run(kind.String(), func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				wrapped := tlb.MustNew(tlb.Config{Kind: kind, Entries: 16, LogSBF: 4})
+				bare := tlb.MustNew(tlb.Config{Kind: kind, Entries: 16, LogSBF: 4})
+				h := mmu.NewHierarchy(wrapped)
+				if !h.Flat() {
+					t.Fatal("single-level hierarchy does not report Flat")
+				}
+				rng := rand.New(rand.NewSource(seed*131 + 7))
+				for op := 0; op < 5000; op++ {
+					x := rng.Uint64()
+					switch rng.Intn(10) {
+					case 0:
+						h.Insert(flatEntry(x))
+						bare.Insert(flatEntry(x))
+					case 1:
+						vpn := addr.VPN(x & 0x3ff)
+						h.Invalidate(vpn)
+						bare.Invalidate(vpn)
+					case 2:
+						if op%100 == 0 { // rare: flushes reset the interesting state
+							h.Flush()
+							bare.Flush()
+						}
+					case 3:
+						if kind != tlb.CompleteSubblock {
+							break
+						}
+						vpbn, _ := addr.BlockSplit(addr.VPN(x&0x3ff), 4)
+						base := addr.VPN(uint64(vpbn) << 4)
+						es := []pte.Entry{
+							{VPN: base + addr.VPN(x>>16&15), PPN: addr.PPN(base) + 2000},
+							{VPN: base + addr.VPN(x>>20&15), PPN: addr.PPN(base) + 2001},
+						}
+						h.InsertBlock(vpbn, es)
+						bare.InsertBlock(vpbn, es)
+					default:
+						va := addr.VAOf(addr.VPN(x&0x3ff)) + addr.V(x>>10&0xfff)
+						hr := h.Access(va)
+						br := bare.Access(va)
+						if hr != br {
+							t.Fatalf("seed %d op %d: Access(%#x) hierarchy %+v vs bare %+v",
+								seed, op, va, hr, br)
+						}
 					}
-					rng := rand.New(rand.NewSource(seed*131 + 7))
-					for op := 0; op < 5000; op++ {
-						x := rng.Uint64()
-						switch rng.Intn(10) {
-						case 0:
-							h.Insert(flatEntry(x))
-							bare.Insert(flatEntry(x))
-						case 1:
-							vpn := addr.VPN(x & 0x3ff)
-							h.Invalidate(vpn)
-							bare.Invalidate(vpn)
-						case 2:
-							if op%100 == 0 { // rare: flushes reset the interesting state
-								h.Flush()
-								bare.Flush()
-							}
-						case 3:
-							if kind != tlb.CompleteSubblock {
-								break
-							}
-							vpbn, _ := addr.BlockSplit(addr.VPN(x&0x3ff), 4)
-							base := addr.VPN(uint64(vpbn) << 4)
-							es := []pte.Entry{
-								{VPN: base + addr.VPN(x>>16&15), PPN: addr.PPN(base) + 2000},
-								{VPN: base + addr.VPN(x>>20&15), PPN: addr.PPN(base) + 2001},
-							}
-							h.InsertBlock(vpbn, es)
-							bare.InsertBlock(vpbn, es)
-						default:
-							va := addr.VAOf(addr.VPN(x&0x3ff)) + addr.V(x>>10&0xfff)
-							hr := h.Access(va)
-							br := bare.Access(va)
-							if hr != br {
-								t.Fatalf("seed %d op %d: Access(%#x) hierarchy %+v vs bare %+v",
-									seed, op, va, hr, br)
-							}
-						}
-						if hs, bs := h.Stats(), bare.Stats(); hs != bs {
-							t.Fatalf("seed %d op %d: stats diverged: hierarchy %+v vs bare %+v",
-								seed, op, hs, bs)
-						}
+					if hs, bs := h.Stats(), bare.Stats(); hs != bs {
+						t.Fatalf("seed %d op %d: stats diverged: hierarchy %+v vs bare %+v",
+							seed, op, hs, bs)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

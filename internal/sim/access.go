@@ -84,10 +84,6 @@ type AccessConfig struct {
 	// pipeline is an exact functional decomposition of the serial
 	// replay, not an approximation (DESIGN.md §10).
 	Shards int
-	// ScanTLB runs the simulated TLBs in linear-scan reference mode
-	// (tlb.Config.Scan) — results are identical, only speed differs. It
-	// exists for the before/after replay benchmarks.
-	ScanTLB bool
 	// MMU selects the translation hierarchy modelled around each TLB
 	// (L2 TLB, page-walk cache). The zero value is the paper's flat
 	// single-level hierarchy and reproduces the pre-hierarchy
@@ -291,7 +287,7 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 	}
 
 	kind := f.TLBKind()
-	st.refTLB = tlb.MustNew(tlb.Config{Kind: kind, Entries: cfg.Entries, Scan: cfg.ScanTLB})
+	st.refTLB = tlb.MustNew(tlb.Config{Kind: kind, Entries: cfg.Entries})
 
 	anyPWC := false
 	for _, m := range mmus {
@@ -340,7 +336,7 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 			return nil, fmt.Errorf("reserved-TLB variant %q is not linear", v.Name)
 		}
 		st.lins = append(st.lins, &linState{
-			main:  tlb.MustNew(tlb.Config{Kind: kind, Entries: cfg.Entries - v.ReservedTLB, Scan: cfg.ScanTLB}),
+			main:  tlb.MustNew(tlb.Config{Kind: kind, Entries: cfg.Entries - v.ReservedTLB}),
 			table: lt,
 			class: v.Class,
 			upper: uint32(lt.UpperWalkCost(0).Lines),
@@ -355,7 +351,7 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		}
 		for li, ls := range st.lins {
 			lt := &tl.lins[li]
-			lt.pt = tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li], Scan: cfg.ScanTLB})
+			lt.pt = tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li]})
 			lt.l2 = m.newL2(cfg.LineModel)
 			if m.PWC {
 				lt.pwc = m.newPWC(ls.table)

@@ -2,12 +2,11 @@ package sim
 
 // End-to-end replay benchmarks for the reference fast path: the full
 // Figure 11a pipeline — buffered generation, TLB probe, miss service
-// across all four page-table variants, dense line accounting — with the
-// indexed TLB versus the retained linear-scan reference (ScanTLB). Both
-// modes produce byte-identical rows; only the speed differs. The
-// speedup grows with TLB size (the scan is O(entries), the index O(1)),
-// so the sweep covers the 64-entry base case through 1024 entries.
-// `make bench-replay` snapshots these into BENCH_replay.json.
+// across all four page-table variants, dense line accounting — from the
+// 64-entry base case through 1024 entries. The rows keep their /indexed
+// suffix so snapshots stay comparable with those taken when a
+// linear-scan TLB mode sat beside it. `make bench-replay` snapshots
+// these into BENCH_replay.json.
 
 import (
 	"fmt"
@@ -16,12 +15,12 @@ import (
 	"clusterpt/internal/trace"
 )
 
-func benchmarkFigure11(b *testing.B, entries int, scan bool) {
+func benchmarkFigure11(b *testing.B, entries int) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
 		b.Fatal("no gcc profile")
 	}
-	cfg := AccessConfig{Refs: 400_000, Entries: entries, Seed: 1, ScanTLB: scan, Buf: &ReplayBuf{}}
+	cfg := AccessConfig{Refs: 400_000, Entries: entries, Seed: 1, Buf: &ReplayBuf{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,14 +32,9 @@ func benchmarkFigure11(b *testing.B, entries int, scan bool) {
 
 func BenchmarkFigure11Replay(b *testing.B) {
 	for _, entries := range []int{64, 256, 1024} {
-		for _, mode := range []struct {
-			name string
-			scan bool
-		}{{"indexed", false}, {"scan", true}} {
-			b.Run(fmt.Sprintf("e%d/%s", entries, mode.name), func(b *testing.B) {
-				benchmarkFigure11(b, entries, mode.scan)
-			})
-		}
+		b.Run(fmt.Sprintf("e%d/indexed", entries), func(b *testing.B) {
+			benchmarkFigure11(b, entries)
+		})
 	}
 }
 
@@ -66,34 +60,5 @@ func BenchmarkFigure11Sharded(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestFigure11ScanModeIdentical pins that ScanTLB changes nothing but
-// speed: the row computed through the indexed TLBs equals the row
-// computed through the linear-scan reference, field for field.
-func TestFigure11ScanModeIdentical(t *testing.T) {
-	p, ok := trace.ProfileByName("mp3d")
-	if !ok {
-		t.Fatal("no mp3d profile")
-	}
-	for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
-		fast, err := RunFigure11(f, p, AccessConfig{Refs: 50_000, Buf: &ReplayBuf{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := RunFigure11(f, p, AccessConfig{Refs: 50_000, ScanTLB: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.RefMisses != ref.RefMisses || fast.RefAccesses != ref.RefAccesses ||
-			fast.LinearNested != ref.LinearNested {
-			t.Fatalf("%v: counters diverged: %+v vs %+v", f, fast, ref)
-		}
-		for name, v := range ref.AvgLines {
-			if fast.AvgLines[name] != v {
-				t.Fatalf("%v %s: %v vs %v", f, name, fast.AvgLines[name], v)
-			}
-		}
 	}
 }

@@ -245,9 +245,9 @@ func (m *churnMachine) apply(op trace.ChurnOp) error {
 
 // sweepCounts is one oracle/coverage sweep's tally.
 type sweepCounts struct {
-	mapped  uint64
-	sp      uint64
-	psb     uint64
+	mapped uint64
+	sp     uint64
+	psb    uint64
 }
 
 // sweep walks every page of every VMA in layout order, counting

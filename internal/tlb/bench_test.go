@@ -1,7 +1,8 @@
 package tlb
 
-// Before/after benchmarks for the resident-tag index: every kind, hit
-// and miss paths, 64–1024 entries, indexed vs the Scan reference mode.
+// Benchmarks for the indexed TLB: every kind, hit and miss paths,
+// 64–1024 entries. The rows keep their /indexed suffix so snapshots stay
+// comparable with those taken when a linear-scan mode sat beside it.
 // `make bench-replay` snapshots these into BENCH_replay.json.
 
 import (
@@ -24,9 +25,9 @@ func benchLoad(t *TLB, ws int) []addr.V {
 	return vas
 }
 
-func benchmarkAccess(b *testing.B, kind Kind, entries int, scan bool) {
+func benchmarkAccess(b *testing.B, kind Kind, entries int) {
 	b.Run("hit", func(b *testing.B) {
-		t := MustNew(Config{Kind: kind, Entries: entries, Scan: scan})
+		t := MustNew(Config{Kind: kind, Entries: entries})
 		vas := benchLoad(t, entries)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -37,10 +38,10 @@ func benchmarkAccess(b *testing.B, kind Kind, entries int, scan bool) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		t := MustNew(Config{Kind: kind, Entries: entries, Scan: scan})
+		t := MustNew(Config{Kind: kind, Entries: entries})
 		benchLoad(t, entries)
 		// Thrash: a universe 4x the TLB so every access misses and every
-		// service evicts, exercising lookup, victim scan, and index
+		// service evicts, exercising lookup, victim choice, and index
 		// maintenance together.
 		universe := entries * 4
 		b.ReportAllocs()
@@ -58,14 +59,9 @@ func benchmarkAccess(b *testing.B, kind Kind, entries int, scan bool) {
 func BenchmarkAccess(b *testing.B) {
 	for _, kind := range diffKinds {
 		for _, entries := range []int{64, 256, 1024} {
-			for _, mode := range []struct {
-				name string
-				scan bool
-			}{{"indexed", false}, {"scan", true}} {
-				b.Run(fmt.Sprintf("%v/e%d/%s", kind, entries, mode.name), func(b *testing.B) {
-					benchmarkAccess(b, kind, entries, mode.scan)
-				})
-			}
+			b.Run(fmt.Sprintf("%v/e%d/indexed", kind, entries), func(b *testing.B) {
+				benchmarkAccess(b, kind, entries)
+			})
 		}
 	}
 }

@@ -1,12 +1,12 @@
 package tlb
 
-// Differential suite for the resident-tag index: an indexed TLB and a
-// Scan (linear-scan reference) TLB consume identical operation streams
-// and must agree on every Access Result, every Translate answer, every
-// Stats field, and — checked after every operation — the complete entry
-// array including LRU ticks. Entry-array equality is the victim-choice
-// check: if the two ever picked different victims their slot contents
-// would diverge on the next insert.
+// Differential suite for the TLB: the indexed production TLB and the
+// linear-scan reference model (refTLB, ref_test.go) consume identical
+// operation streams and must agree on every Access Result, every
+// Translate answer, every Stats field, and — checked after every
+// operation — the complete entry array including LRU ticks. Entry-array
+// equality is the victim-choice check: if the two ever picked different
+// victims their slot contents would diverge on the next insert.
 //
 // The same op semantics back FuzzTLBIndex (fuzz_test.go), so anything
 // the fuzzer finds is replayable here.
@@ -20,10 +20,10 @@ import (
 	"clusterpt/internal/pte"
 )
 
-// diffPair is an indexed TLB and its scan-mode reference twin.
+// diffPair is a production TLB and its reference-model twin.
 type diffPair struct {
 	fast *TLB
-	ref  *TLB
+	ref  *refTLB
 }
 
 func newDiffPair(kind Kind, entries int, logSBF uint) (*diffPair, error) {
@@ -31,14 +31,7 @@ func newDiffPair(kind Kind, entries int, logSBF uint) (*diffPair, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := New(Config{Kind: kind, Entries: entries, LogSBF: logSBF, Scan: true})
-	if err != nil {
-		return nil, err
-	}
-	if fast.idx == nil || ref.idx != nil {
-		return nil, fmt.Errorf("mode mix-up: fast idx=%v ref idx=%v", fast.idx != nil, ref.idx != nil)
-	}
-	return &diffPair{fast: fast, ref: ref}, nil
+	return &diffPair{fast: fast, ref: newRefTLB(kind, entries, fast.cfg.LogSBF)}, nil
 }
 
 // diffSpanSizes are the superpage sizes op streams draw from.
@@ -61,6 +54,26 @@ func diffEntry(x uint64) pte.Entry {
 	return e
 }
 
+// access drives both TLBs with one access and returns the production
+// TLB's result, or an error if the two results differ.
+func (p *diffPair) access(va addr.V) (Result, error) {
+	fr := p.fast.Access(va)
+	if rr := p.ref.Access(va); fr != rr {
+		return fr, fmt.Errorf("Access(%#x): indexed %+v vs ref %+v", va, fr, rr)
+	}
+	return fr, nil
+}
+
+func (p *diffPair) insert(e pte.Entry) {
+	p.fast.Insert(e)
+	p.ref.Insert(e)
+}
+
+func (p *diffPair) insertBlock(vpbn addr.VPBN, es []pte.Entry) {
+	p.fast.InsertBlock(vpbn, es)
+	p.ref.InsertBlock(vpbn, es)
+}
+
 // applyOp drives both TLBs with one decoded operation and reports the
 // first observable divergence. Opcode space: 0-4 access, 5 insert,
 // 6 translate, 7 flush, 8 block prefetch (complete-subblock only,
@@ -68,22 +81,20 @@ func diffEntry(x uint64) pte.Entry {
 func (p *diffPair) applyOp(opcode uint8, x uint64) error {
 	switch opcode % 9 {
 	case 5:
-		p.fast.Insert(diffEntry(x))
-		p.ref.Insert(diffEntry(x))
+		p.insert(diffEntry(x))
 	case 6:
 		va := addr.VAOf(addr.VPN(x & 0x3ff))
 		fp, fok := p.fast.Translate(va)
 		rp, rok := p.ref.Translate(va)
 		if fp != rp || fok != rok {
-			return fmt.Errorf("Translate(%#x): indexed (%d,%v) vs scan (%d,%v)", va, fp, fok, rp, rok)
+			return fmt.Errorf("Translate(%#x): indexed (%d,%v) vs ref (%d,%v)", va, fp, fok, rp, rok)
 		}
 	case 7:
 		p.fast.Flush()
 		p.ref.Flush()
 	case 8:
 		if p.fast.Kind() != CompleteSubblock {
-			p.fast.Insert(diffEntry(x))
-			p.ref.Insert(diffEntry(x))
+			p.insert(diffEntry(x))
 			break
 		}
 		base := diffEntry(x)
@@ -94,24 +105,21 @@ func (p *diffPair) applyOp(opcode uint8, x uint64) error {
 			off := addr.VPN(x >> (16 + 4*i) & (1<<p.fast.cfg.LogSBF - 1))
 			es = append(es, pte.Entry{VPN: blockVPN + off, PPN: addr.PPN(blockVPN+off) + 2000})
 		}
-		p.fast.InsertBlock(vpbn, es)
-		p.ref.InsertBlock(vpbn, es)
+		p.insertBlock(vpbn, es)
 	default:
-		va := addr.VAOf(addr.VPN(x&0x3ff)) + addr.V(x>>10&0xfff)
-		fr := p.fast.Access(va)
-		rr := p.ref.Access(va)
-		if fr != rr {
-			return fmt.Errorf("Access(%#x): indexed %+v vs scan %+v", va, fr, rr)
+		if _, err := p.access(addr.VAOf(addr.VPN(x&0x3ff)) + addr.V(x>>10&0xfff)); err != nil {
+			return err
 		}
-	}
-	if p.fast.stats != p.ref.stats {
-		return fmt.Errorf("stats diverged: indexed %+v vs scan %+v", p.fast.stats, p.ref.stats)
 	}
 	return p.stateEqual()
 }
 
-// stateEqual compares the complete slot arrays, LRU ticks included.
+// stateEqual compares the traffic counters and the complete slot
+// arrays, LRU ticks included.
 func (p *diffPair) stateEqual() error {
+	if p.fast.stats != p.ref.stats {
+		return fmt.Errorf("stats diverged: indexed %+v vs ref %+v", p.fast.stats, p.ref.stats)
+	}
 	if p.fast.tick != p.ref.tick {
 		return fmt.Errorf("tick diverged: %d vs %d", p.fast.tick, p.ref.tick)
 	}
@@ -120,7 +128,7 @@ func (p *diffPair) stateEqual() error {
 		if f.valid != r.valid || f.format != r.format || f.vpn != r.vpn ||
 			f.size != r.size || f.vpbn != r.vpbn || f.mask != r.mask ||
 			f.ppn != r.ppn || f.lru != r.lru {
-			return fmt.Errorf("slot %d diverged: indexed %+v vs scan %+v", i, *f, *r)
+			return fmt.Errorf("slot %d diverged: indexed %+v vs ref %+v", i, *f, *r)
 		}
 		if len(f.ppns) != len(r.ppns) {
 			return fmt.Errorf("slot %d ppns length: %d vs %d", i, len(f.ppns), len(r.ppns))
@@ -157,6 +165,35 @@ func TestTLBIndexDifferential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestTLBDifferentialInvalidate interleaves single-page shootdowns with
+// the randomized op streams, so slots freed below the fill watermark
+// must be refilled lowest index first, before any valid entry is
+// evicted.
+func TestTLBDifferentialInvalidate(t *testing.T) {
+	for _, kind := range diffKinds {
+		for _, entries := range []int{1, 2, 3, 64} {
+			p, err := newDiffPair(kind, entries, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(entries)*7 + int64(kind)))
+			for op := 0; op < 20000; op++ {
+				if rng.Intn(8) == 0 {
+					vpn := addr.VPN(rng.Intn(0x400))
+					p.fast.Invalidate(vpn)
+					p.ref.Invalidate(vpn)
+					err = p.stateEqual()
+				} else {
+					err = p.applyOp(uint8(rng.Intn(256)), rng.Uint64())
+				}
+				if err != nil {
+					t.Fatalf("%v entries=%d op %d: %v", kind, entries, op, err)
+				}
+			}
 		}
 	}
 }
@@ -232,4 +269,46 @@ func TestTLBIndexDuplicateTags(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTLBDifferentialStreamShapes replays the working-set shapes that
+// stress true LRU — uniform random, a sequential sweep, and a hot head —
+// over spans just below, at, and just above the TLB size, inserting a
+// base page on every miss. Every hit/miss decision, victim, and LRU
+// tick is compared against the reference model. Superpage and
+// partial-subblock TLBs store a base PTE exactly as a single-page-size
+// TLB does, so only the two kinds with distinct base-page formats run.
+func TestTLBDifferentialStreamShapes(t *testing.T) {
+	for _, kind := range []Kind{SinglePageSize, CompleteSubblock} {
+		for _, entries := range []int{1, 4, 64} {
+			for _, span := range []int{2, 60, 64, 65, 400} {
+				p, err := newDiffPair(kind, entries, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(entries*1000 + span)))
+				for i := 0; i < 20000; i++ {
+					var vpn uint64
+					switch rng.Intn(3) {
+					case 0: // uniform random
+						vpn = uint64(rng.Intn(span))
+					case 1: // sequential sweep
+						vpn = uint64(i % span)
+					default: // hot head
+						vpn = uint64(rng.Intn(span/4 + 1))
+					}
+					misses := p.fast.stats.Misses
+					if err := p.applyOp(0, vpn); err != nil {
+						t.Fatalf("%v entries=%d span=%d step %d: %v", kind, entries, span, i, err)
+					}
+					if p.fast.stats.Misses == misses {
+						continue
+					}
+					if err := p.applyOp(5, vpn); err != nil {
+						t.Fatalf("%v entries=%d span=%d step %d insert: %v", kind, entries, span, i, err)
+					}
+				}
+			}
+		}
+	}
 }

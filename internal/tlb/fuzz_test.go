@@ -1,7 +1,7 @@
 package tlb
 
 // FuzzTLBIndex feeds arbitrary operation streams through an indexed
-// TLB and its linear-scan reference twin (see diff_test.go) and fails
+// TLB and its reference model twin (see diff_test.go) and fails
 // on any observable divergence. The input encodes a configuration byte
 // followed by 5-byte operations, so the fuzzer can mutate kind, entry
 // count, block geometry, and the op stream together.

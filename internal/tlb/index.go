@@ -8,21 +8,19 @@ import (
 
 // tlbIndex is a hash index over the resident tags of a TLB: one map per
 // size class from masked VPN to slot, plus one map from VPBN to slot for
-// the subblock formats. It exists to make Access/Translate O(resident
-// size classes) instead of O(entries) while reproducing the linear
-// scan's answer exactly — including on duplicate tags, where the scan
-// returns the lowest covering slot.
+// the subblock formats. It makes Access/Translate O(resident size
+// classes) instead of O(entries) while answering exactly the lowest
+// covering slot in slot order — including on duplicate tags.
 //
-// Exactness argument (also DESIGN.md §9): the linear scan returns the
-// FIRST covering slot in slot order. Within one size class every entry
-// keyed by the same masked VPN covers exactly the same addresses, so
-// the lowest slot holding a key is the class's unique candidate. For
+// Exactness argument (also DESIGN.md §9): within one size class every
+// entry keyed by the same masked VPN covers exactly the same addresses,
+// so the lowest slot holding a key is the class's unique candidate. For
 // block formats all same-VPBN entries share a tag but may differ in
 // valid mask, so the lowest slot is the candidate only when its mask
 // bit is set; otherwise (duplicate VPBNs with differing masks — rare,
 // only reachable through redundant inserts) the index falls back to a
 // slot-order scan among the duplicates. The final answer is the lowest
-// slot over all per-class candidates, i.e. the scan's answer.
+// slot over all per-class candidates.
 type tlbIndex struct {
 	logSBF uint
 	// classes[i] indexes the size class whose entries cover 1<<shifts[i]
@@ -159,7 +157,7 @@ func (ix *tlbIndex) lookup(vpn addr.VPN, entries []entry) int32 {
 				}
 			} else if ref.n > 1 {
 				// Duplicate VPBNs with differing masks: take the first
-				// covering duplicate in slot order, as the scan would.
+				// covering duplicate in slot order.
 				for i := ref.min + 1; i < int32(len(entries)); i++ {
 					o := &entries[i]
 					if o.valid && (o.format == fPSB || o.format == fCSB) &&
@@ -176,8 +174,8 @@ func (ix *tlbIndex) lookup(vpn addr.VPN, entries []entry) int32 {
 	return best
 }
 
-// lookupBlock mirrors the scan's findBlock: the lowest slot whose tag
-// matches vpbn regardless of mask, or -1.
+// lookupBlock returns the lowest slot whose block tag matches vpbn
+// regardless of mask, or -1.
 func (ix *tlbIndex) lookupBlock(vpbn addr.VPBN) int32 {
 	if ref, ok := ix.blocks[vpbn]; ok {
 		return ref.min

@@ -64,12 +64,6 @@ type Config struct {
 	// LogSBF is the subblock geometry for the subblock kinds; default 4
 	// (16 subblocks, 64KB blocks).
 	LogSBF uint
-	// Scan disables the resident-tag index and restores the original
-	// O(entries) linear lookup. It is the reference model: differential
-	// tests drive a Scan TLB and an indexed TLB with the same stream and
-	// require identical results, and the before/after replay benchmarks
-	// use it as the baseline. Simulated behavior is identical either way.
-	Scan bool
 }
 
 func (c *Config) fill() error {
@@ -130,30 +124,27 @@ type TLB struct {
 	tick    uint64
 	stats   Stats
 
-	// idx indexes resident tags for O(1) lookup; nil in Scan mode.
+	// idx indexes resident tags for O(1) lookup.
 	idx *tlbIndex
 
-	// lruPrev/lruNext thread the valid slots into a doubly-linked list
-	// in ascending-lru order (lruHead is the coldest), and free is the
-	// fill watermark: slots at or above it have never held an entry
-	// since the last Flush. Together they make victim O(1). Indexed
-	// mode only — Scan mode keeps the O(entries) victim scan as the
-	// reference implementation. The list reproduces the scan's choice
-	// exactly: lru values are unique (at most one entry's lru is
-	// written per tick), so the minimum the scan finds is the list
-	// head; and since replace only ever fills victim's choice, invalid
-	// slots are consumed in ascending index order, which is the scan's
-	// invalid-first order.
+	// The replacement rule is: the lowest-index invalid slot first,
+	// else the least recently used entry. lruPrev/lruNext thread the
+	// valid slots into a doubly-linked list in ascending-lru order
+	// (lruHead is the coldest), and free is the fill watermark: slots
+	// at or above it have never held an entry since the last Flush.
+	// Together they make victim O(1). lru values are unique (at most
+	// one entry's lru is written per tick), so the least recently used
+	// entry is the list head; and since replace only ever fills
+	// victim's choice, never-used slots are consumed in ascending index
+	// order.
 	lruPrev, lruNext []int32
 	lruHead, lruTail int32
 	free             int32
 
 	// freed holds slots below the fill watermark that Invalidate
-	// emptied, kept in ascending index order. victim consumes it before
-	// the watermark so the indexed TLB reproduces the scan's
-	// lowest-index-invalid-first choice: every valid slot sits below
-	// free, so the scan's first invalid slot is exactly min(freed) when
-	// freed is non-empty and free otherwise. Indexed mode only.
+	// emptied, kept in ascending index order. Every valid slot sits
+	// below free, so the lowest-index invalid slot is min(freed) when
+	// freed is non-empty and free otherwise.
 	freed []int32
 
 	// One-entry MRU filter: the outcome of the last Access, valid until
@@ -171,14 +162,15 @@ func New(cfg Config) (*TLB, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	t := &TLB{cfg: cfg, entries: make([]entry, cfg.Entries)}
-	if !cfg.Scan {
-		t.idx = newIndex(cfg.LogSBF)
-		t.lruPrev = make([]int32, cfg.Entries)
-		t.lruNext = make([]int32, cfg.Entries)
-		t.lruHead, t.lruTail = -1, -1
-	}
-	return t, nil
+	return &TLB{
+		cfg:     cfg,
+		entries: make([]entry, cfg.Entries),
+		idx:     newIndex(cfg.LogSBF),
+		lruPrev: make([]int32, cfg.Entries),
+		lruNext: make([]int32, cfg.Entries),
+		lruHead: -1,
+		lruTail: -1,
+	}, nil
 }
 
 // MustNew is New for known-good configurations; it panics on error.
@@ -199,44 +191,12 @@ func (t *TLB) Name() string { return "tlb-" + t.cfg.Kind.String() }
 // Entries returns the entry count.
 func (t *TLB) Entries() int { return t.cfg.Entries }
 
-// covers reports whether slot e translates vpn.
-func (t *TLB) covers(e *entry, vpn addr.VPN) bool {
-	if !e.valid {
-		return false
-	}
-	switch e.format {
-	case fSingle:
-		return e.vpn == vpn
-	case fSpan:
-		return vpn&^addr.VPN(e.size.Pages()-1) == e.vpn
-	case fPSB, fCSB:
-		vpbn, boff := addr.BlockSplit(vpn, t.cfg.LogSBF)
-		return e.vpbn == vpbn && e.mask>>boff&1 == 1
-	}
-	return false
-}
-
-// lookupSlot returns the first slot covering vpn in slot order, or -1.
-// It is the single lookup path: Access and Translate both go through
-// it, in both indexed and Scan mode, so the two can't drift.
-func (t *TLB) lookupSlot(vpn addr.VPN) int32 {
-	if t.idx != nil {
-		return t.idx.lookup(vpn, t.entries)
-	}
-	for i := range t.entries {
-		if t.covers(&t.entries[i], vpn) {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
 // Access looks up va, updating LRU state and statistics.
 func (t *TLB) Access(va addr.V) Result {
 	vpn := addr.VPNOf(va)
 	t.tick++
 	t.stats.Accesses++
-	if t.idx != nil && t.mruOK && t.mruVPN == vpn {
+	if t.mruOK && t.mruVPN == vpn {
 		// Coverage is unchanged since the remembered access, so the
 		// outcome replays exactly.
 		if t.mruSlot >= 0 {
@@ -248,12 +208,10 @@ func (t *TLB) Access(va addr.V) Result {
 		t.recordMiss(t.mruRes)
 		return t.mruRes
 	}
-	slot := t.lookupSlot(vpn)
+	slot := t.idx.lookup(vpn, t.entries)
 	if slot >= 0 {
 		t.entries[slot].lru = t.tick
-		if t.idx != nil {
-			t.lruTouch(slot)
-		}
+		t.lruTouch(slot)
 		t.stats.Hits++
 		t.remember(vpn, slot, Result{Hit: true})
 		return Result{Hit: true}
@@ -261,7 +219,7 @@ func (t *TLB) Access(va addr.V) Result {
 	var res Result
 	if t.cfg.Kind == CompleteSubblock {
 		vpbn, _ := addr.BlockSplit(vpn, t.cfg.LogSBF)
-		if t.findBlockSlot(vpbn) >= 0 {
+		if t.idx.lookupBlock(vpbn) >= 0 {
 			res.SubblockMiss = true
 		}
 	}
@@ -282,11 +240,8 @@ func (t *TLB) recordMiss(res Result) {
 	}
 }
 
-// remember stores the MRU filter state (indexed mode only).
+// remember stores the MRU filter state.
 func (t *TLB) remember(vpn addr.VPN, slot int32, res Result) {
-	if t.idx == nil {
-		return
-	}
 	t.mruOK, t.mruVPN, t.mruSlot, t.mruRes = true, vpn, slot, res
 }
 
@@ -294,11 +249,11 @@ func (t *TLB) remember(vpn addr.VPN, slot int32, res Result) {
 func (t *TLB) forget() { t.mruOK = false }
 
 // Translate returns the frame for va if the TLB covers it, without
-// touching LRU state or statistics (a debugging aid). It shares
-// lookupSlot with Access rather than re-dispatching on entry formats.
+// touching LRU state or statistics (a debugging aid). It shares the
+// index lookup with Access rather than re-dispatching on entry formats.
 func (t *TLB) Translate(va addr.V) (addr.PPN, bool) {
 	vpn := addr.VPNOf(va)
-	slot := t.lookupSlot(vpn)
+	slot := t.idx.lookup(vpn, t.entries)
 	if slot < 0 {
 		return 0, false
 	}
@@ -316,21 +271,6 @@ func (t *TLB) Translate(va addr.V) (addr.PPN, bool) {
 		return e.ppns[boff], true
 	}
 	return 0, false
-}
-
-// findBlockSlot returns the first slot whose block tag matches vpbn
-// regardless of valid mask, or -1.
-func (t *TLB) findBlockSlot(vpbn addr.VPBN) int32 {
-	if t.idx != nil {
-		return t.idx.lookupBlock(vpbn)
-	}
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && (e.format == fCSB || e.format == fPSB) && e.vpbn == vpbn {
-			return int32(i)
-		}
-	}
-	return -1
 }
 
 // lruUnlink removes slot v from the recency list.
@@ -373,52 +313,32 @@ func (t *TLB) lruTouch(v int32) {
 // victim returns the LRU slot for replacement: the lowest-index invalid
 // slot if one exists, else the least recently used entry.
 func (t *TLB) victim() int32 {
-	if t.idx != nil {
-		if len(t.freed) > 0 {
-			// Invalidated slots sit below the watermark, so the lowest
-			// of them is the scan's lowest-index invalid slot.
-			v := t.freed[0]
-			copy(t.freed, t.freed[1:])
-			t.freed = t.freed[:len(t.freed)-1]
-			return v
-		}
-		if int(t.free) < len(t.entries) {
-			v := t.free
-			t.free++
-			return v
-		}
-		t.stats.Replacements++
-		return t.lruHead
+	if len(t.freed) > 0 {
+		// Invalidated slots sit below the watermark, so the lowest of
+		// them is the lowest-index invalid slot.
+		v := t.freed[0]
+		copy(t.freed, t.freed[1:])
+		t.freed = t.freed[:len(t.freed)-1]
+		return v
 	}
-	v := int32(0)
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.valid {
-			return int32(i)
-		}
-		if e.lru < t.entries[v].lru {
-			v = int32(i)
-		}
+	if int(t.free) < len(t.entries) {
+		v := t.free
+		t.free++
+		return v
 	}
-	if t.entries[v].valid {
-		t.stats.Replacements++
-	}
-	return v
+	t.stats.Replacements++
+	return t.lruHead
 }
 
 // replace evicts slot v (updating the index) and stores e there.
 func (t *TLB) replace(v int32, e entry) {
-	if t.idx != nil {
-		if t.entries[v].valid {
-			t.idx.remove(&t.entries[v], v, t.entries)
-			t.lruUnlink(v)
-		}
-		t.entries[v] = e
-		t.idx.add(&t.entries[v], v)
-		t.lruAppend(v)
-		return
+	if t.entries[v].valid {
+		t.idx.remove(&t.entries[v], v, t.entries)
+		t.lruUnlink(v)
 	}
 	t.entries[v] = e
+	t.idx.add(&t.entries[v], v)
+	t.lruAppend(v)
 }
 
 // Insert loads the translation a page-table walk produced for the
@@ -464,16 +384,14 @@ func (t *TLB) Insert(e pte.Entry) {
 		}
 	case CompleteSubblock:
 		vpbn, boff := addr.BlockSplit(vpn, t.cfg.LogSBF)
-		if s := t.findBlockSlot(vpbn); s >= 0 {
+		if s := t.idx.lookupBlock(vpbn); s >= 0 {
 			// Subblock miss service: add the mapping, no replacement. The
 			// block tag is unchanged, so the index needs no update.
 			blk := &t.entries[s]
 			blk.mask |= 1 << boff
 			blk.ppns[boff] = e.PPN
 			blk.lru = t.tick
-			if t.idx != nil {
-				t.lruTouch(s)
-			}
+			t.lruTouch(s)
 			return
 		}
 		v := t.victim()
@@ -499,7 +417,7 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 	}
 	t.tick++
 	t.forget()
-	s := t.findBlockSlot(vpbn)
+	s := t.idx.lookupBlock(vpbn)
 	if s < 0 {
 		s = t.victim()
 		t.replace(s, entry{
@@ -511,9 +429,7 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 	}
 	blk := &t.entries[s]
 	blk.lru = t.tick
-	if t.idx != nil {
-		t.lruTouch(s)
-	}
+	t.lruTouch(s)
 	for _, e := range entries {
 		evpbn, boff := addr.BlockSplit(e.VPN, t.cfg.LogSBF)
 		if evpbn != vpbn {
@@ -539,22 +455,19 @@ func (t *TLB) insertPSB(vpbn addr.VPBN, mask uint16, basePPN addr.PPN) {
 // Invalidate drops every entry covering vpn — the single-page
 // shootdown. Block entries are dropped whole (conservative: a
 // shootdown of one page kills the block's tag), matching what an OS
-// must do when it cannot prove the rest of the block unchanged. Victim
-// order is preserved across modes: the scan refills the freed slot as
-// its lowest-index invalid choice, and indexed mode records it in the
-// sorted freed list victim consumes first.
+// must do when it cannot prove the rest of the block unchanged. Each
+// dropped slot joins the sorted freed list, so victim refills it before
+// evicting any valid entry.
 func (t *TLB) Invalidate(vpn addr.VPN) {
 	for {
-		s := t.lookupSlot(vpn)
+		s := t.idx.lookup(vpn, t.entries)
 		if s < 0 {
 			break
 		}
 		t.entries[s].valid = false
-		if t.idx != nil {
-			t.idx.remove(&t.entries[s], s, t.entries)
-			t.lruUnlink(s)
-			t.freeSlot(s)
-		}
+		t.idx.remove(&t.entries[s], s, t.entries)
+		t.lruUnlink(s)
+		t.freeSlot(s)
 	}
 	t.forget()
 }
@@ -575,12 +488,10 @@ func (t *TLB) Flush() {
 	for i := range t.entries {
 		t.entries[i].valid = false
 	}
-	if t.idx != nil {
-		t.idx.clear()
-		t.lruHead, t.lruTail = -1, -1
-		t.free = 0
-		t.freed = t.freed[:0]
-	}
+	t.idx.clear()
+	t.lruHead, t.lruTail = -1, -1
+	t.free = 0
+	t.freed = t.freed[:0]
 	t.forget()
 }
 
@@ -594,4 +505,3 @@ var (
 	_ mmu.Level       = (*TLB)(nil)
 	_ mmu.Invalidator = (*TLB)(nil)
 )
-
