@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPTERoundTrip -fuzztime $(FUZZTIME) ./internal/pte/
 	$(GO) test -run '^$$' -fuzz FuzzArenaOps -fuzztime $(FUZZTIME) ./internal/ptalloc/
 	$(GO) test -run '^$$' -fuzz FuzzTLBIndex -fuzztime $(FUZZTIME) ./internal/tlb/
+	$(GO) test -run '^$$' -fuzz FuzzMeterTouch -fuzztime $(FUZZTIME) ./internal/memcost/
 	$(GO) test -run '^$$' -fuzz FuzzChurnOps -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaOps -fuzztime $(FUZZTIME) ./internal/service/
 
@@ -51,8 +52,9 @@ bench-alloc:
 
 # bench-replay measures the reference-replay fast path — indexed TLB
 # lookup per kind at 64–1024 entries, buffered zero-alloc trace
-# generation, and the end-to-end Figure 11 replay, serial vs sharded at
-# 1/2/4/8 lanes — and snapshots the result as BENCH_replay.json. The
+# generation, and the end-to-end Figure 11a and 11d replays, serial vs
+# sharded at 1/2/4/8 lanes (the fig11d rows are the only ones that
+# gather page blocks) — and snapshots the result as BENCH_replay.json. The
 # serial/sharded pairs render identical bytes, so their ratio isolates
 # the pipeline. Regenerate after TLB or replay changes and commit the
 # diff.

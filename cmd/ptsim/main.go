@@ -40,6 +40,7 @@ import (
 	"clusterpt/internal/linear"
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
+	"clusterpt/internal/pte"
 	svc "clusterpt/internal/service"
 	"clusterpt/internal/sim"
 	"clusterpt/internal/swtlb"
@@ -189,6 +190,7 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 		}
 	}
 	var served uint64
+	var block []pte.Entry // prefetch gather buffer, reused for the whole cell
 	service := func(va addr.V) error {
 		r := h.Access(va)
 		if r.Hit {
@@ -213,13 +215,15 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 				return fmt.Errorf("table %q cannot prefetch blocks", *tableName)
 			}
 			vpbn, _ := addr.BlockSplit(addr.VPNOf(va), 4)
-			es, cost, found := br.LookupBlock(vpbn, 4)
+			var cost pagetable.WalkCost
+			var found bool
+			block, cost, found = br.AppendBlock(block[:0], vpbn, 4)
 			if !found {
 				return fmt.Errorf("lost block %#x", uint64(vpbn))
 			}
 			cost = h.FilterWalk(addr.VPNOf(va), cost)
 			res.lines += uint64(cost.Lines)
-			h.InsertBlock(vpbn, es)
+			h.InsertBlock(vpbn, block)
 			return nil
 		}
 		e, cost, found := build.Table.Lookup(va)

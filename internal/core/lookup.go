@@ -73,15 +73,21 @@ func (t *Table) lookupLocked(b *bucket, vpbn addr.VPBN, vpn addr.VPN, boff uint6
 	return pte.Entry{}, cost, false
 }
 
-// LookupBlock implements pagetable.BlockReader: it gathers every valid
+// LookupBlock implements pagetable.BlockReader as AppendBlock into a
+// nil buffer.
+func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	return t.AppendBlock(nil, vpbn, logSBF)
+}
+
+// AppendBlock implements pagetable.BlockReader: it appends every valid
 // base-page translation in the block for complete-subblock TLB prefetch
 // (§4.4). Because a clustered node stores the whole block's mappings
 // contiguously, the gather touches the node's full mapping array rather
 // than probing once per base page as a hashed table must.
-func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
 	if logSBF != t.logSBF {
 		// The table's block geometry is fixed at construction.
-		return nil, pagetable.WalkCost{}, false
+		return dst, pagetable.WalkCost{}, false
 	}
 	b := t.bucketFor(vpbn)
 	b.mu.RLock()
@@ -89,7 +95,7 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 
 	var meter memcost.Meter
 	cost := pagetable.WalkCost{Probes: 1}
-	var entries []pte.Entry
+	n := len(dst)
 	sbf := uint64(t.cfg.SubblockFactor)
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
@@ -107,11 +113,11 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 				continue
 			}
 			vpn := addr.BlockJoin(vpbn, boff, t.logSBF)
-			entries = append(entries, pte.EntryFromWord(w, vpn, boff))
+			dst = append(dst, pte.EntryFromWord(w, vpn, boff))
 		}
 	}
 	cost.Lines = meter.Lines()
-	return entries, cost, len(entries) > 0
+	return dst, cost, len(dst) > n
 }
 
 // findNode returns the first chain node with the given tag that satisfies

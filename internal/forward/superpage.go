@@ -252,10 +252,16 @@ func (t *Table) UnmapReplicated(vpn addr.VPN) error {
 	return nil
 }
 
-// LookupBlock implements pagetable.BlockReader: a block's leaf PTEs are
+// LookupBlock implements pagetable.BlockReader as AppendBlock into a
+// nil buffer.
+func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	return t.AppendBlock(nil, vpbn, logSBF)
+}
+
+// AppendBlock implements pagetable.BlockReader: a block's leaf PTEs are
 // adjacent, so the gather costs the intermediate walk plus one contiguous
 // leaf read.
-func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
 	sbf := uint64(1) << logSBF
 	first := addr.BlockJoin(vpbn, 0, logSBF)
 	t.mu.RLock()
@@ -271,22 +277,21 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 		ent := &nd.entries[t.slot(first, lvl)]
 		if ent.word.Valid() {
 			// Intermediate superpage covers the block: one entry for all.
-			var entries []pte.Entry
 			for boff := uint64(0); boff < sbf; boff++ {
 				vpn := first + addr.VPN(boff)
-				entries = append(entries, pte.EntryFromWord(ent.word, vpn, boff))
+				dst = append(dst, pte.EntryFromWord(ent.word, vpn, boff))
 			}
-			return entries, cost, true
+			return dst, cost, true
 		}
 		if ent.child == nil {
-			return nil, cost, false
+			return dst, cost, false
 		}
 		nd = ent.child
 	}
 	cost.Nodes++
 	startOff := int(t.slot(first, nlev-1)) * pte.WordBytes
 	cost.Lines += t.cfg.CostModel.Span(startOff, int(sbf)*pte.WordBytes)
-	var entries []pte.Entry
+	n := len(dst)
 	for boff := uint64(0); boff < sbf; boff++ {
 		vpn := first + addr.VPN(boff)
 		w := nd.entries[t.slot(vpn, nlev-1)].word
@@ -296,7 +301,7 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 		if w.Kind() == pte.KindPartial && !w.ValidAt(boff&(1<<t.cfg.LogSBF-1)) {
 			continue
 		}
-		entries = append(entries, pte.EntryFromWord(w, vpn, boff&(1<<t.cfg.LogSBF-1)))
+		dst = append(dst, pte.EntryFromWord(w, vpn, boff&(1<<t.cfg.LogSBF-1)))
 	}
-	return entries, cost, len(entries) > 0
+	return dst, cost, len(dst) > n
 }

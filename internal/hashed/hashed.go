@@ -276,12 +276,18 @@ func (t *Table) ChainStats() (alpha float64, maxChain int) {
 	return float64(nodes) / float64(t.cfg.Buckets), maxChain
 }
 
-// LookupBlock implements pagetable.BlockReader the only way a hashed
+// LookupBlock implements pagetable.BlockReader as AppendBlock into a
+// nil buffer.
+func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	return t.AppendBlock(nil, vpbn, logSBF)
+}
+
+// AppendBlock implements pagetable.BlockReader the only way a hashed
 // table can: one full probe per base page in the block. This is the §4.4
 // observation that subblock prefetching is very expensive for hashed
 // tables — Figure 11d's "terrible" case.
-func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
-	var entries []pte.Entry
+func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	n := len(dst)
 	var cost pagetable.WalkCost
 	sbf := uint64(1) << logSBF
 	for boff := uint64(0); boff < sbf; boff++ {
@@ -292,10 +298,10 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 		b.mu.RUnlock()
 		cost.Add(c)
 		if ok {
-			entries = append(entries, e)
+			dst = append(dst, e)
 		}
 	}
-	return entries, cost, len(entries) > 0
+	return dst, cost, len(dst) > n
 }
 
 var (

@@ -185,11 +185,17 @@ func (t *Table) UnmapReplicated(vpn addr.VPN) error {
 	return nil
 }
 
-// LookupBlock implements pagetable.BlockReader: the block's PTEs are
+// LookupBlock implements pagetable.BlockReader as AppendBlock into a
+// nil buffer.
+func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	return t.AppendBlock(nil, vpbn, logSBF)
+}
+
+// AppendBlock implements pagetable.BlockReader: the block's PTEs are
 // adjacent in the PTE array, so a complete-subblock prefetch gather is a
 // single contiguous read — one cache line for sixteen 8-byte PTEs with
 // 256-byte lines (§4.4: the penalty is "reasonable" for linear tables).
-func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
 	sbf := uint64(1) << logSBF
 	first := addr.BlockJoin(vpbn, 0, logSBF)
 	t.mu.RLock()
@@ -199,9 +205,9 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 	cost.Lines = t.cfg.CostModel.Span(startOff, int(sbf)*pte.WordBytes)
 	pg, ok := t.leaf[LeafPageIndex(first)]
 	if !ok {
-		return nil, cost, false
+		return dst, cost, false
 	}
-	var entries []pte.Entry
+	n := len(dst)
 	for boff := uint64(0); boff < sbf; boff++ {
 		vpn := first + addr.VPN(boff)
 		w := pg.words[uint64(vpn)&(entriesPerPage-1)]
@@ -211,7 +217,7 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 		if w.Kind() == pte.KindPartial && !w.ValidAt(boff&(1<<t.cfg.LogSBF-1)) {
 			continue
 		}
-		entries = append(entries, pte.EntryFromWord(w, vpn, boff&(1<<t.cfg.LogSBF-1)))
+		dst = append(dst, pte.EntryFromWord(w, vpn, boff&(1<<t.cfg.LogSBF-1)))
 	}
-	return entries, cost, len(entries) > 0
+	return dst, cost, len(dst) > n
 }

@@ -3,6 +3,11 @@
 // paper's (indirect) metric for page table access time. The model assumes
 // a level-two cache line of 256 bytes by default and that each PTE starts
 // on a cache-line boundary.
+//
+// Line sizes are powers of two, so lines are counted by shifting a byte
+// offset right by log2(LineSize) rather than dividing — the meter runs
+// on every level of every simulated walk. Negative offsets, which no
+// walk produces, keep the line index truncating division gives them.
 package memcost
 
 import (
@@ -37,9 +42,20 @@ func (m Model) Span(off, length int) int {
 	if length <= 0 {
 		return 0
 	}
-	first := off / m.LineSize
-	last := (off + length - 1) / m.LineSize
+	first, last := m.lines(off, length)
 	return last - first + 1
+}
+
+// lines returns the first and last line index of the non-empty byte
+// range [off, off+length). A shift floors where division truncates, so
+// only non-negative offsets take it.
+func (m Model) lines(off, length int) (first, last int) {
+	end := off + length - 1
+	if off >= 0 {
+		shift := uint(bits.TrailingZeros(uint(m.LineSize)))
+		return off >> shift, end >> shift
+	}
+	return off / m.LineSize, end / m.LineSize
 }
 
 // Meter accumulates the lines touched during one page-table walk. Each
@@ -61,9 +77,18 @@ const touchMaskLines = 256
 // object starts on its own line boundary.
 //
 // Touch runs on every simulated memory reference of every walk, so it
-// must not allocate: lines are deduplicated in a fixed bitmask on the
-// stack, spilling to a map only for offsets ≥ touchMaskLines·LineSize.
+// must not allocate: a single range's lines are distinct and need no
+// dedupe; several ranges are deduplicated in a fixed bitmask on the
+// stack, spilling to a map only for line indices outside
+// [0, touchMaskLines).
 func (c *Meter) Touch(m Model, ranges ...[2]int) {
+	if len(ranges) == 1 {
+		if r := ranges[0]; r[1] > 0 {
+			c.refs++
+			c.lines += m.Span(r[0], r[1])
+		}
+		return
+	}
 	var seen [touchMaskLines / 64]uint64
 	var far map[int]bool // overflow dedupe, nil on the fast path
 	for _, r := range ranges {
@@ -72,8 +97,7 @@ func (c *Meter) Touch(m Model, ranges ...[2]int) {
 			continue
 		}
 		c.refs++
-		first := off / m.LineSize
-		last := (off + length - 1) / m.LineSize
+		first, last := m.lines(off, length)
 		for l := first; l <= last; l++ {
 			if l >= 0 && l < touchMaskLines {
 				seen[l>>6] |= 1 << (l & 63)

@@ -147,9 +147,18 @@ type UpperWalker interface {
 // (§4.4). The cost reflects how the organization stores neighboring PTEs:
 // one node for clustered tables, adjacent memory for linear and
 // forward-mapped tables, one probe per base page for hashed tables.
+//
+// The gather is append-style so the replay hot path can reuse one
+// buffer per stage instead of allocating a slice per block miss.
 type BlockReader interface {
-	// LookupBlock returns the valid translations within page block vpbn
-	// (subblock factor 1<<logSBF) and the cost of gathering them. ok is
-	// false if no page in the block is mapped.
+	// AppendBlock appends the valid translations within page block vpbn
+	// (subblock factor 1<<logSBF) to dst and returns the extended slice
+	// and the cost of gathering them. dst[:len(dst)] is never modified.
+	// ok reports that at least one entry was appended; it is false if no
+	// page in the block is mapped.
+	AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) (entries []pte.Entry, cost WalkCost, ok bool)
+
+	// LookupBlock is AppendBlock into a nil buffer: it returns a freshly
+	// allocated slice of the block's translations.
 	LookupBlock(vpbn addr.VPBN, logSBF uint) (entries []pte.Entry, cost WalkCost, ok bool)
 }

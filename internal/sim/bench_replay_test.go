@@ -5,8 +5,11 @@ package sim
 // across all four page-table variants, dense line accounting — from the
 // 64-entry base case through 1024 entries. The rows keep their /indexed
 // suffix so snapshots stay comparable with those taken when a
-// linear-scan TLB mode sat beside it. `make bench-replay` snapshots
-// these into BENCH_replay.json.
+// linear-scan TLB mode sat beside it. The fig11d rows replay Figure 11d
+// instead: a complete-subblock TLB whose block misses gather a whole
+// page block from every organization (§4.4), the only rows that
+// exercise the BlockReader path. `make bench-replay` snapshots these
+// into BENCH_replay.json.
 
 import (
 	"fmt"
@@ -15,16 +18,16 @@ import (
 	"clusterpt/internal/trace"
 )
 
-func benchmarkFigure11(b *testing.B, entries int) {
+func benchmarkFigure11(b *testing.B, f Figure, cfg AccessConfig) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
 		b.Fatal("no gcc profile")
 	}
-	cfg := AccessConfig{Refs: 400_000, Entries: entries, Seed: 1, Buf: &ReplayBuf{}}
+	cfg.Refs, cfg.Seed, cfg.Buf = 400_000, 1, &ReplayBuf{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
+		if _, err := RunFigure11(f, p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,9 +36,12 @@ func benchmarkFigure11(b *testing.B, entries int) {
 func BenchmarkFigure11Replay(b *testing.B) {
 	for _, entries := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("e%d/indexed", entries), func(b *testing.B) {
-			benchmarkFigure11(b, entries)
+			benchmarkFigure11(b, Fig11a, AccessConfig{Entries: entries})
 		})
 	}
+	b.Run("fig11d/e64", func(b *testing.B) {
+		benchmarkFigure11(b, Fig11d, AccessConfig{Entries: 64})
+	})
 }
 
 // BenchmarkFigure11Sharded measures the fan-out/merge pipeline against
@@ -43,22 +49,18 @@ func BenchmarkFigure11Replay(b *testing.B) {
 // Figure 11a run at lane counts 1 through 8. s1 is the serial loop via
 // the dispatch fallthrough; s2+ split the replay across the driver,
 // linear, and walk lanes with memoized pure lookups, which is where the
-// speedup comes from even on a single core.
+// speedup comes from even on a single core. The fig11d rows do the same
+// for the block-prefetch replay, where the lanes' block memos hold the
+// gathered entries.
 func BenchmarkFigure11Sharded(b *testing.B) {
-	p, ok := trace.ProfileByName("gcc")
-	if !ok {
-		b.Fatal("no gcc profile")
-	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
-			cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchmarkFigure11(b, Fig11a, AccessConfig{Shards: shards})
+		})
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("fig11d/s%d", shards), func(b *testing.B) {
+			benchmarkFigure11(b, Fig11d, AccessConfig{Shards: shards})
 		})
 	}
 }

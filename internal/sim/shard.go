@@ -43,6 +43,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -103,12 +104,15 @@ func releaseChunk(c *shardChunk, recycle chan<- *shardChunk) {
 // memo is exact: the built tables are immutable during replay, so
 // Lookup and LookupBlock are pure functions of the page. The sharded
 // lanes keep one per lane; the serial loop keeps none (nil maps miss
-// every read and are never written).
+// every read and are never written). Block gathers append into buf,
+// reused from miss to miss; only the memo clones a block, because it
+// keeps it.
 type refStage struct {
 	f      Figure
 	st     *figureState
 	pages  map[addr.VPN]pte.Entry
 	blocks map[addr.VPBN][]pte.Entry
+	buf    []pte.Entry
 }
 
 func newRefStage(f Figure, st *figureState, memoize bool) *refStage {
@@ -157,7 +161,7 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 				return 0, err
 			}
 			if r.blocks != nil {
-				r.blocks[vpbn] = entries
+				r.blocks[vpbn] = slices.Clone(entries)
 			}
 		}
 		st.refTLB.InsertBlock(vpbn, entries)
@@ -200,11 +204,12 @@ func (r *refStage) lookupBlock(vpbn addr.VPBN) ([]pte.Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("canonical table cannot prefetch blocks")
 	}
-	entries, _, found := br.LookupBlock(vpbn, 4)
+	var found bool
+	r.buf, _, found = br.AppendBlock(r.buf[:0], vpbn, 4)
 	if !found {
 		return nil, fmt.Errorf("canonical table lost block %#x", uint64(vpbn))
 	}
-	return entries, nil
+	return r.buf, nil
 }
 
 // walkCost is one variant walk set for a page (or block): lines touched
@@ -240,11 +245,14 @@ func (lc *lineCounts) addCostElided(c *walkCost, cls LineClass, upper uint32) {
 // optionally through a private memo; each lane keeps private
 // accumulators, and because the cost is a pure function of the page,
 // the merged totals are independent of which lane sees which miss.
+// Block gathers append into buf, reused from walk to walk: the lane
+// keeps only their cost.
 type walkLane struct {
 	walks  []variantWalk
 	lines  []lineCounts // per pipeline
 	pages  map[addr.VPN]walkCost
 	blocks map[addr.VPBN]walkCost
+	buf    []pte.Entry
 	// probe[t] (nil when pipeline t is flat) is the constant per-miss L2
 	// probe charge: l2ProbeLines for every non-reserved variant class.
 	// pwcClass and pwcUpper drive the elided merge on PWC-hit records.
@@ -375,7 +383,9 @@ func (w *walkLane) walkBlock(vpbn addr.VPBN, c *walkCost) error {
 		if !ok {
 			return fmt.Errorf("variant %q cannot prefetch blocks", v.name)
 		}
-		_, cost, found := br.LookupBlock(vpbn, 4)
+		var cost pagetable.WalkCost
+		var found bool
+		w.buf, cost, found = br.AppendBlock(w.buf[:0], vpbn, 4)
 		if !found {
 			return fmt.Errorf("variant %q lost block %#x", v.name, uint64(vpbn))
 		}
@@ -406,7 +416,8 @@ type linMemo struct {
 // linLane runs every linear variant's TLB state machines over the
 // reference stream, in stream order, on one goroutine. The TLB state
 // evolution does not depend on memoization, so hits, misses, and nested
-// misses land exactly as they do serially.
+// misses land exactly as they do serially. Block gathers append into
+// buf, reused from miss to miss; only the memo clones a block.
 type linLane struct {
 	f      Figure
 	lins   []*linState
@@ -414,6 +425,7 @@ type linLane struct {
 	memos  []linMemo
 	lines  []lineCounts // per pipeline
 	nested []uint64     // per pipeline
+	buf    []pte.Entry
 }
 
 func newLinLane(f Figure, st *figureState, memoize bool) *linLane {
@@ -495,12 +507,15 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 		m := &l.memos[li]
 		var ok bool
 		if b, ok = m.blocks[vpbn]; !ok {
-			entries, c, found := ls.table.LookupBlock(vpbn, 4)
+			var c pagetable.WalkCost
+			var found bool
+			l.buf, c, found = ls.table.AppendBlock(l.buf[:0], vpbn, 4)
 			if !found {
 				return fmt.Errorf("linear lost block %#x", uint64(vpbn))
 			}
-			b = linBlock{entries: entries, lines: uint32(c.Lines)}
+			b = linBlock{entries: l.buf, lines: uint32(c.Lines)}
 			if m.blocks != nil {
+				b.entries = slices.Clone(l.buf)
 				m.blocks[vpbn] = b
 			}
 		}

@@ -89,6 +89,8 @@ type Cache struct {
 	sets  [][]entry //ptlint:guardedby mu
 	tick  uint64    //ptlint:guardedby mu
 	stats Stats     //ptlint:guardedby mu
+	// block is the Clustered fill's gather buffer, reused by every fill.
+	block []pte.Entry //ptlint:guardedby mu
 }
 
 // New creates a software TLB over the backing table.
@@ -291,8 +293,9 @@ func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
 		// cheaply (clustered/linear adjacency).
 		if br, okBR := c.backing.(pagetable.BlockReader); okBR {
 			vpbn, _ := addr.BlockSplit(vpn, c.cfg.LogSBF)
-			if entries, _, okB := br.LookupBlock(vpbn, c.cfg.LogSBF); okB {
-				for _, be := range entries {
+			var okB bool
+			if c.block, _, okB = br.AppendBlock(c.block[:0], vpbn, c.cfg.LogSBF); okB {
+				for _, be := range c.block {
 					_, bo := addr.BlockSplit(be.VPN, c.cfg.LogSBF)
 					ent.words[bo] = wordFromEntry(be)
 				}

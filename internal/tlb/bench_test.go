@@ -66,6 +66,38 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
+// TestCompleteSubblockRefillNoAllocs pins a full complete-subblock
+// TLB's refills at zero allocations: every block miss replaces a victim,
+// whether by prefetch (InsertBlock) or by one page (Insert), and the new
+// entry takes over the victim's frame array instead of allocating one.
+func TestCompleteSubblockRefillNoAllocs(t *testing.T) {
+	const entries = 64
+	tl := MustNew(Config{Kind: CompleteSubblock, Entries: entries})
+	blocks := make([][]pte.Entry, 4*entries)
+	for b := range blocks {
+		for boff := addr.VPN(0); boff < 16; boff += 2 {
+			vpn := addr.VPN(b)*16 + boff
+			blocks[b] = append(blocks[b], base(vpn, addr.PPN(vpn)+1))
+		}
+	}
+	for b := 0; b < entries; b++ {
+		tl.InsertBlock(addr.VPBN(b), blocks[b])
+	}
+	b := entries
+	next := func() int { b = (b + 1) % len(blocks); return b }
+	if allocs := testing.AllocsPerRun(100, func() {
+		n := next()
+		tl.InsertBlock(addr.VPBN(n), blocks[n])
+	}); allocs != 0 {
+		t.Errorf("InsertBlock into a full TLB allocated %.1f times per refill, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tl.Insert(blocks[next()][1])
+	}); allocs != 0 {
+		t.Errorf("Insert into a full TLB allocated %.1f times per refill, want 0", allocs)
+	}
+}
+
 // TestBatchedAccessNoAllocs pins the acceptance criterion that the
 // batched TLB access loop allocates nothing: a resident working set
 // replayed through Access must cost 0 allocs/op in every kind.

@@ -400,7 +400,7 @@ func (t *TLB) Insert(e pte.Entry) {
 			format: fCSB,
 			vpbn:   vpbn,
 			mask:   1 << boff,
-			ppns:   make([]addr.PPN, 1<<t.cfg.LogSBF),
+			ppns:   t.csbFrames(v),
 			lru:    t.tick,
 		})
 		t.entries[v].ppns[boff] = e.PPN
@@ -424,7 +424,7 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 			valid:  true,
 			format: fCSB,
 			vpbn:   vpbn,
-			ppns:   make([]addr.PPN, 1<<t.cfg.LogSBF),
+			ppns:   t.csbFrames(s),
 		})
 	}
 	blk := &t.entries[s]
@@ -438,6 +438,19 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 		blk.mask |= 1 << boff
 		blk.ppns[boff] = e.PPN
 	}
+}
+
+// csbFrames returns the per-subblock frame array for a new
+// complete-subblock entry in slot v: the slot's previous array, cleared,
+// when it has one. Block misses replace victims millions of times per
+// replay, and nothing outside the TLB holds a slot's frames.
+func (t *TLB) csbFrames(v int32) []addr.PPN {
+	ppns := t.entries[v].ppns
+	if len(ppns) != 1<<t.cfg.LogSBF {
+		return make([]addr.PPN, 1<<t.cfg.LogSBF)
+	}
+	clear(ppns)
+	return ppns
 }
 
 func (t *TLB) insertSingle(vpn addr.VPN, ppn addr.PPN) {
