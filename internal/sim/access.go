@@ -287,7 +287,10 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 	}
 
 	kind := f.TLBKind()
-	st.refTLB = tlb.MustNew(tlb.Config{Kind: kind, Entries: cfg.Entries})
+	var err error
+	if st.refTLB, err = tlb.New(tlb.Config{Kind: kind, Entries: cfg.Entries}); err != nil {
+		return nil, err
+	}
 
 	anyPWC := false
 	for _, m := range mmus {
@@ -335,8 +338,18 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		if !ok {
 			return nil, fmt.Errorf("reserved-TLB variant %q is not linear", v.Name)
 		}
+		if cfg.Entries <= v.ReservedTLB {
+			// tlb.Config would silently turn a zero-entry main TLB into
+			// its 64-entry default.
+			return nil, fmt.Errorf("sim: %d TLB entries leave %q no main TLB beside its %d reserved entries",
+				cfg.Entries, v.Name, v.ReservedTLB)
+		}
+		main, err := tlb.New(tlb.Config{Kind: kind, Entries: cfg.Entries - v.ReservedTLB})
+		if err != nil {
+			return nil, err
+		}
 		st.lins = append(st.lins, &linState{
-			main:  tlb.MustNew(tlb.Config{Kind: kind, Entries: cfg.Entries - v.ReservedTLB}),
+			main:  main,
 			table: lt,
 			class: v.Class,
 			upper: uint32(lt.UpperWalkCost(0).Lines),
@@ -351,7 +364,9 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		}
 		for li, ls := range st.lins {
 			lt := &tl.lins[li]
-			lt.pt = tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li]})
+			if lt.pt, err = tlb.New(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li]}); err != nil {
+				return nil, err
+			}
 			lt.l2 = m.newL2(cfg.LineModel)
 			if m.PWC {
 				lt.pwc = m.newPWC(ls.table)
@@ -374,19 +389,26 @@ type procResult struct {
 // runProcess drives one process's trace through the figure's TLBs and
 // page tables under every pipeline in mmus. With cfg.Shards > 1 it
 // hands the replay to the sharded fan-out/merge pipeline; the results
-// are identical either way. The serial loop runs the pipeline's three
-// stages (refStage, walkLane, linLane) inline, without memoization.
+// are identical either way. Both paths first build the process's
+// walk-cost table, walking each mapped page once per variant, and
+// charge every miss's variant walks from it. The serial loop runs the
+// pipeline's three stages (refStage, walkLane, linLane) inline, without
+// the refill-entry memos the sharded lanes keep.
 func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, mmus []MMUConfig) (procResult, error) {
 	st, err := newFigureState(f, snap, cfg, mmus)
 	if err != nil {
 		return procResult{}, err
 	}
+	costs, err := newWalkTable(f, st, snap)
+	if err != nil {
+		return procResult{}, err
+	}
 	if cfg.Shards > 1 {
-		return runProcessSharded(f, st, snap, refs, cfg, cfg.Shards)
+		return runProcessSharded(f, st, costs, snap, refs, cfg, cfg.Shards)
 	}
 
 	ref := newRefStage(f, st, false)
-	walk := newWalkLane(st, false)
+	walk := newWalkLane(st, costs)
 	lin := newLinLane(f, st, false)
 	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
 	var misses uint64

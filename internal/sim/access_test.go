@@ -318,3 +318,28 @@ func TestLinearNestedMissesAreRare(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure11EntriesAboveReserved pins the TLB-size bound: the linear
+// variant reserves 8 entries, so a TLB of 8 or fewer leaves its main
+// TLB empty (which the TLB's zero-value default would silently turn
+// into 64 entries) or negative, and must be an error rather than a
+// panic or a changed model. One entry more runs, at both lane counts
+// and under every figure.
+func TestFigure11EntriesAboveReserved(t *testing.T) {
+	p := profile(t, "gcc")
+	for _, c := range []struct {
+		entries int
+		ok      bool
+	}{
+		{-1, false}, {4, false}, {8, false}, {9, true},
+	} {
+		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
+			for _, shards := range []int{1, 2} {
+				_, err := RunFigure11(f, p, AccessConfig{Refs: 2_000, Entries: c.entries, Shards: shards})
+				if (err == nil) != c.ok {
+					t.Errorf("%v/entries=%d/shards=%d: err = %v, want ok=%v", f, c.entries, shards, err, c.ok)
+				}
+			}
+		}
+	}
+}

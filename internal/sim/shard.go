@@ -11,9 +11,10 @@ package sim
 //     of the pipelines that walk, and packs each miss's outcome into a
 //     miss record.
 //   - walkLane: the read-only variant walks. It turns a miss record
-//     into per-pipeline line charges: the walk is a pure function of
-//     the missing page over immutable page tables, done once however
-//     many pipelines charge it.
+//     into per-pipeline line charges, reading the walk's cost from the
+//     process's walk-cost table (walkcost.go): every mapped page was
+//     walked once in every variant before replay, so a miss costs an
+//     indexed read however many pipelines charge it.
 //   - linLane: every linear variant's shared main TLB and per-pipeline
 //     reserved TLB, L2 and nested-walk cache.
 //
@@ -29,17 +30,19 @@ package sim
 //     linLane with the lookup/walk costs memoized per page (exact:
 //     lookups on built tables are pure).
 //   - A pool of walk lanes consumes the per-chunk miss records and
-//     accumulates the memoized walk costs into per-lane counters. Any
+//     charges the shared table's costs into per-lane counters. Any
 //     assignment of misses to lanes yields the same totals because
 //     each miss contributes a pure per-page cost exactly once and
 //     uint64 sums over disjoint subsets commute.
 //
 // The merge is index-ordered and exact — no atomics on the hot path, no
 // order-dependent reduction. The only observable difference from the
-// serial path is the page tables' internal operation Counters (memoized
-// lookups count once per page instead of once per miss); those counters
-// are never rendered by the figure path. DESIGN.md §10 states the full
-// contract; shard_test.go pins serial/sharded identity field by field.
+// serial path is the page tables' internal operation Counters: the
+// sharded lanes' memoized canonical and linear lookups count once per
+// page instead of once per miss (the variant walks count once per page
+// on both paths). Those counters are never rendered by the figure path.
+// DESIGN.md §10 states the full contract; shard_test.go pins
+// serial/sharded identity field by field.
 
 import (
 	"fmt"
@@ -102,11 +105,13 @@ func releaseChunk(c *shardChunk, recycle chan<- *shardChunk) {
 //
 // Each stage can memoize its page-table lookups by page or block. The
 // memo is exact: the built tables are immutable during replay, so
-// Lookup and LookupBlock are pure functions of the page. The sharded
-// lanes keep one per lane; the serial loop keeps none (nil maps miss
-// every read and are never written). Block gathers append into buf,
-// reused from miss to miss; only the memo clones a block, because it
-// keeps it.
+// Lookup and LookupBlock are pure functions of the page. Unlike the
+// walk costs, what is memoized here are the refill entries themselves,
+// and those cost memory: memoizing them on the serial path measured
+// +15–31% replay RSS, so only the sharded driver keeps a memo and the
+// serial loop keeps none (nil maps miss every read and are never
+// written). Block gathers append into buf, reused from miss to miss;
+// only the memo clones a block, because it keeps it.
 type refStage struct {
 	f      Figure
 	st     *figureState
@@ -153,7 +158,7 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 	block := r.f == Fig11d && !res.SubblockMiss
 	if block {
 		// Block miss with prefetch: gather the whole block (§4.4).
-		vpbn, _ := addr.BlockSplit(vpn, 4)
+		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
 		var ok bool
 		if entries, ok = r.blocks[vpbn]; !ok {
 			var err error
@@ -205,23 +210,11 @@ func (r *refStage) lookupBlock(vpbn addr.VPBN) ([]pte.Entry, error) {
 		return nil, fmt.Errorf("canonical table cannot prefetch blocks")
 	}
 	var found bool
-	r.buf, _, found = br.AppendBlock(r.buf[:0], vpbn, 4)
+	r.buf, _, found = br.AppendBlock(r.buf[:0], vpbn, fig11dBlockLog)
 	if !found {
 		return nil, fmt.Errorf("canonical table lost block %#x", uint64(vpbn))
 	}
 	return r.buf, nil
-}
-
-// walkCost is one variant walk set for a page (or block): lines touched
-// per accounting class. uint32 suffices — a single walk touches at most
-// a few hundred lines.
-type walkCost [numLineClasses]uint32
-
-// addCost merges one walk into the accumulator.
-func (lc *lineCounts) addCost(c *walkCost) {
-	for i := range lc {
-		lc[i] += uint64(c[i])
-	}
 }
 
 // addCostElided merges one walk with the walk-cached class's upper
@@ -241,18 +234,13 @@ func (lc *lineCounts) addCostElided(c *walkCost, cls LineClass, upper uint32) {
 
 // walkLane charges miss records to every pipeline: the L2 probe line,
 // then — unless that pipeline's L2 hit — the variant walks, elided on a
-// page-walk-cache hit. The walks are done at most once per record,
-// optionally through a private memo; each lane keeps private
+// page-walk-cache hit. The walk cost is read once per record from the
+// process's shared walk-cost table; each lane keeps private
 // accumulators, and because the cost is a pure function of the page,
 // the merged totals are independent of which lane sees which miss.
-// Block gathers append into buf, reused from walk to walk: the lane
-// keeps only their cost.
 type walkLane struct {
-	walks  []variantWalk
-	lines  []lineCounts // per pipeline
-	pages  map[addr.VPN]walkCost
-	blocks map[addr.VPBN]walkCost
-	buf    []pte.Entry
+	costs *walkTable
+	lines []lineCounts // per pipeline
 	// probe[t] (nil when pipeline t is flat) is the constant per-miss L2
 	// probe charge: l2ProbeLines for every non-reserved variant class.
 	// pwcClass and pwcUpper drive the elided merge on PWC-hit records.
@@ -261,26 +249,15 @@ type walkLane struct {
 	pwcUpper uint32
 }
 
-// variantWalk is one non-linear variant the walk lanes walk.
-type variantWalk struct {
-	name  string
-	table pagetable.PageTable
-	class LineClass
-}
-
-func newWalkLane(st *figureState, memoize bool) *walkLane {
+func newWalkLane(st *figureState, costs *walkTable) *walkLane {
 	w := &walkLane{
+		costs: costs,
 		lines: make([]lineCounts, len(st.tails)),
 		probe: make([]*walkCost, len(st.tails)),
 	}
-	if memoize {
-		w.pages = make(map[addr.VPN]walkCost)
-		w.blocks = make(map[addr.VPBN]walkCost)
-	}
 	probe := new(walkCost)
-	for i, v := range st.variants {
+	for _, v := range st.variants {
 		if v.ReservedTLB == 0 {
-			w.walks = append(w.walks, variantWalk{name: v.Name, table: st.builds[i].Table, class: v.Class})
 			probe[v.Class] += l2ProbeLines
 		}
 	}
@@ -308,8 +285,7 @@ func (w *walkLane) run(miss []addr.V) error {
 
 // charge accounts one miss record to every pipeline.
 func (w *walkLane) charge(rec addr.V) error {
-	var c walkCost
-	walked := false
+	var c *walkCost
 	for t := range w.lines {
 		if w.probe[t] != nil {
 			w.lines[t].addCost(w.probe[t])
@@ -318,78 +294,17 @@ func (w *walkLane) charge(rec addr.V) error {
 				continue
 			}
 		}
-		if !walked {
-			if err := w.cost(rec, &c); err != nil {
+		if c == nil {
+			var err error
+			if c, err = w.costs.cost(rec); err != nil {
 				return err
 			}
-			walked = true
 		}
 		if rec&missPWCHit(t) != 0 {
-			w.lines[t].addCostElided(&c, w.pwcClass, w.pwcUpper)
+			w.lines[t].addCostElided(c, w.pwcClass, w.pwcUpper)
 		} else {
-			w.lines[t].addCost(&c)
+			w.lines[t].addCost(c)
 		}
-	}
-	return nil
-}
-
-// cost fills c with the record's variant walk cost.
-func (w *walkLane) cost(rec addr.V, c *walkCost) error {
-	vpn := addr.VPNOf(rec)
-	if rec&missBlockBit != 0 {
-		vpbn, _ := addr.BlockSplit(vpn, 4)
-		if m, ok := w.blocks[vpbn]; ok {
-			*c = m
-			return nil
-		}
-		if err := w.walkBlock(vpbn, c); err != nil {
-			return err
-		}
-		if w.blocks != nil {
-			w.blocks[vpbn] = *c
-		}
-		return nil
-	}
-	if m, ok := w.pages[vpn]; ok {
-		*c = m
-		return nil
-	}
-	if err := w.walkPage(addr.VAOf(vpn), c); err != nil {
-		return err
-	}
-	if w.pages != nil {
-		w.pages[vpn] = *c
-	}
-	return nil
-}
-
-// walkPage walks every non-linear variant for one page.
-func (w *walkLane) walkPage(va addr.V, c *walkCost) error {
-	for _, v := range w.walks {
-		_, cost, ok := v.table.Lookup(va)
-		if !ok {
-			return fmt.Errorf("variant %q lost vpn %#x", v.name, uint64(addr.VPNOf(va)))
-		}
-		c[v.class] += uint32(cost.Lines)
-	}
-	return nil
-}
-
-// walkBlock gathers one block from every non-linear variant, the
-// complete-subblock prefetch (§4.4).
-func (w *walkLane) walkBlock(vpbn addr.VPBN, c *walkCost) error {
-	for _, v := range w.walks {
-		br, ok := v.table.(pagetable.BlockReader)
-		if !ok {
-			return fmt.Errorf("variant %q cannot prefetch blocks", v.name)
-		}
-		var cost pagetable.WalkCost
-		var found bool
-		w.buf, cost, found = br.AppendBlock(w.buf[:0], vpbn, 4)
-		if !found {
-			return fmt.Errorf("variant %q lost block %#x", v.name, uint64(vpbn))
-		}
-		c[v.class] += uint32(cost.Lines)
 	}
 	return nil
 }
@@ -416,8 +331,10 @@ type linMemo struct {
 // linLane runs every linear variant's TLB state machines over the
 // reference stream, in stream order, on one goroutine. The TLB state
 // evolution does not depend on memoization, so hits, misses, and nested
-// misses land exactly as they do serially. Block gathers append into
-// buf, reused from miss to miss; only the memo clones a block.
+// misses land exactly as they do serially. Like refStage, and for the
+// same resident-memory reason, it memoizes the entries it refills only
+// on the sharded path. Block gathers append into buf, reused from miss
+// to miss; only the memo clones a block.
 type linLane struct {
 	f      Figure
 	lins   []*linState
@@ -503,13 +420,13 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 	if block {
 		// Block miss with prefetch: the block's PTEs are adjacent in the
 		// PTE array.
-		vpbn, _ := addr.BlockSplit(vpn, 4)
+		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
 		m := &l.memos[li]
 		var ok bool
 		if b, ok = m.blocks[vpbn]; !ok {
 			var c pagetable.WalkCost
 			var found bool
-			l.buf, c, found = ls.table.AppendBlock(l.buf[:0], vpbn, 4)
+			l.buf, c, found = ls.table.AppendBlock(l.buf[:0], vpbn, fig11dBlockLog)
 			if !found {
 				return fmt.Errorf("linear lost block %#x", uint64(vpbn))
 			}
@@ -576,7 +493,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 // one linear lane, and lanes-2 walk lanes; at lanes == 2 the driver
 // runs the walks inline between generating chunks. Chunk buffers cycle
 // through cfg.Buf's free list, so the steady state allocates nothing.
-func runProcessSharded(f Figure, st *figureState, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, lanes int) (procResult, error) {
+func runProcessSharded(f Figure, st *figureState, costs *walkTable, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, lanes int) (procResult, error) {
 	nWalk := lanes - 2
 	if nWalk < 0 {
 		nWalk = 0
@@ -629,7 +546,7 @@ func runProcessSharded(f Figure, st *figureState, snap trace.ProcessSnapshot, re
 
 	walkers := make([]*walkLane, nWalk)
 	for wi := range walkers {
-		wk := newWalkLane(st, true)
+		wk := newWalkLane(st, costs)
 		walkers[wi] = wk
 		wg.Add(1)
 		go func(wi int, wk *walkLane) {
@@ -646,7 +563,7 @@ func runProcessSharded(f Figure, st *figureState, snap trace.ProcessSnapshot, re
 	}
 	var inline *walkLane
 	if nWalk == 0 {
-		inline = newWalkLane(st, true)
+		inline = newWalkLane(st, costs)
 	}
 
 	gen := trace.NewGenerator(snap, cfg.Seed*31+1)

@@ -1,0 +1,201 @@
+package sim
+
+// The walk-cost table against the per-miss walks it replaced. refWalks
+// is that replaced code, kept here as the test-only reference: it
+// walks every non-reserved variant for one page or block on every
+// call, exactly as the walk lanes once did per miss.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"clusterpt/internal/addr"
+	"clusterpt/internal/pagetable"
+	"clusterpt/internal/pte"
+	"clusterpt/internal/trace"
+)
+
+// variantWalk is one non-linear variant the reference walks.
+type variantWalk struct {
+	name  string
+	table pagetable.PageTable
+	class LineClass
+}
+
+// refWalks is the per-miss reference walker.
+type refWalks struct {
+	walks []variantWalk
+	buf   []pte.Entry
+}
+
+func newRefWalks(st *figureState) *refWalks {
+	w := &refWalks{}
+	for i, v := range st.variants {
+		if v.ReservedTLB == 0 {
+			w.walks = append(w.walks, variantWalk{name: v.Name, table: st.builds[i].Table, class: v.Class})
+		}
+	}
+	return w
+}
+
+// walkPage walks every non-linear variant for one page.
+func (w *refWalks) walkPage(va addr.V, c *walkCost) error {
+	for _, v := range w.walks {
+		_, cost, ok := v.table.Lookup(va)
+		if !ok {
+			return fmt.Errorf("variant %q lost vpn %#x", v.name, uint64(addr.VPNOf(va)))
+		}
+		c[v.class] += uint32(cost.Lines)
+	}
+	return nil
+}
+
+// walkBlock gathers one block from every non-linear variant, the
+// complete-subblock prefetch (§4.4).
+func (w *refWalks) walkBlock(vpbn addr.VPBN, c *walkCost) error {
+	for _, v := range w.walks {
+		br, ok := v.table.(pagetable.BlockReader)
+		if !ok {
+			return fmt.Errorf("variant %q cannot prefetch blocks", v.name)
+		}
+		var cost pagetable.WalkCost
+		var found bool
+		w.buf, cost, found = br.AppendBlock(w.buf[:0], vpbn, fig11dBlockLog)
+		if !found {
+			return fmt.Errorf("variant %q lost block %#x", v.name, uint64(vpbn))
+		}
+		c[v.class] += uint32(cost.Lines)
+	}
+	return nil
+}
+
+// TestWalkCostTableMatchesPerMissWalks pins the table slot for slot
+// against the reference walks, class by class, for every figure over a
+// multi-process workload (gcc), one whose extents exceed their mapped
+// pages (pthor), and the kernel snapshot. Building the table must walk
+// each mapped page exactly once per variant, and pages or blocks it
+// does not hold must stay errors.
+func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
+	for _, name := range []string{"gcc", "pthor", "kernel"} {
+		p := profile(t, name)
+		snaps := p.Snapshot()
+		if name == "gcc" && len(snaps) != 4 {
+			t.Fatalf("gcc has %d processes, want 4", len(snaps))
+		}
+		holes := 0
+		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
+			for _, snap := range snaps {
+				label := fmt.Sprintf("%s/%s/%v", name, snap.Name, f)
+				cfg := AccessConfig{}
+				cfg.fill()
+				st, err := newFigureState(f, snap, cfg, []MMUConfig{{}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := newRefWalks(st)
+				before := make([]uint64, len(ref.walks))
+				for i, v := range ref.walks {
+					before[i] = v.table.Stats().Lookups
+				}
+				costs, err := newWalkTable(f, st, snap)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i, v := range ref.walks {
+					if got := v.table.Stats().Lookups - before[i]; got != snap.MappedPages() {
+						t.Errorf("%s: building the table ran %d %s lookups, want one per mapped page (%d)",
+							label, got, v.name, snap.MappedPages())
+					}
+				}
+
+				mapped := make(map[addr.VPN]bool)
+				for _, vpn := range snap.AllPages() {
+					mapped[vpn] = true
+					va := addr.VAOf(vpn)
+					var want walkCost
+					if err := ref.walkPage(va, &want); err != nil {
+						t.Fatal(err)
+					}
+					got, err := costs.cost(va)
+					if err != nil || *got != want {
+						t.Fatalf("%s: vpn %#x: table %v (%v), per-miss walk %v", label, uint64(vpn), got, err, want)
+					}
+					if f != Fig11d {
+						continue
+					}
+					vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
+					want = walkCost{}
+					if err := ref.walkBlock(vpbn, &want); err != nil {
+						t.Fatal(err)
+					}
+					got, err = costs.cost(va | missBlockBit)
+					if err != nil || *got != want {
+						t.Fatalf("%s: block %#x: table %v (%v), per-miss gather %v", label, uint64(vpbn), got, err, want)
+					}
+				}
+
+				// An unmapped page inside an extent, and a page outside
+				// every region, are not found.
+				notFound := func(rec addr.V, want string) {
+					t.Helper()
+					if c, err := costs.cost(rec); err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: record %#x: got %v, %v; want a %q error", label, uint64(rec), c, err, want)
+					}
+				}
+				for _, r := range costs.regions {
+					for off := uint64(0); off < r.pages; off++ {
+						if vpn := r.vpn + addr.VPN(off); !mapped[vpn] {
+							notFound(addr.VAOf(vpn), "lost vpn")
+							holes++
+							break
+						}
+					}
+				}
+				outside := addr.VAOf(0)
+				if costs.region(0) != nil {
+					t.Fatalf("%s: a region holds vpn 0", label)
+				}
+				notFound(outside, "lost vpn")
+				notFound(outside|missBlockBit, "lost block")
+			}
+		}
+		if name == "pthor" && holes == 0 {
+			t.Error("pthor: no unmapped page inside any extent")
+		}
+	}
+}
+
+// TestWalkCostTableLostPage pins the build-time error: a snapshot page
+// the built tables do not map fails the table build with the lost-page
+// error rather than leaving a zero slot behind.
+func TestWalkCostTableLostPage(t *testing.T) {
+	snap := profile(t, "pthor").Snapshot()[0]
+	for _, f := range []Figure{Fig11a, Fig11d} {
+		cfg := AccessConfig{}
+		cfg.fill()
+		st, err := newFigureState(f, snap, cfg, []MMUConfig{{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Claim the first hole of a region with holes as mapped.
+		lost := snap
+		lost.Regions = append([]trace.PlacedRegion(nil), snap.Regions...)
+	find:
+		for i, r := range lost.Regions {
+			for j := 1; j < len(r.Pages); j++ {
+				if hole := r.Pages[j-1] + 1; hole != r.Pages[j] {
+					pages := append([]addr.VPN(nil), r.Pages[:j]...)
+					lost.Regions[i].Pages = append(append(pages, hole), r.Pages[j:]...)
+					break find
+				}
+			}
+		}
+		if lost.MappedPages() != snap.MappedPages()+1 {
+			t.Fatal("pthor: no hole inside any region")
+		}
+		if _, err := newWalkTable(f, st, lost); err == nil || !strings.Contains(err.Error(), "lost vpn") {
+			t.Errorf("%v: building over an unmapped page: err = %v, want a lost vpn error", f, err)
+		}
+	}
+}
