@@ -52,23 +52,21 @@ bench-alloc:
 
 # bench-replay measures the reference-replay fast path — indexed TLB
 # lookup per kind at 64–1024 entries, buffered zero-alloc trace
-# generation, and the end-to-end Figure 11a and 11d replays, serial vs
-# sharded at 1/2/4/8 lanes (the fig11d rows are the only ones that
-# gather page blocks) — and snapshots the result as BENCH_replay.json. The
-# serial/sharded pairs render identical bytes, so their ratio isolates
-# the pipeline. Regenerate after TLB or replay changes and commit the
-# diff.
+# generation, and the end-to-end Figure 11a and 11d replays (the fig11d
+# rows are the only ones that gather page blocks) — and snapshots the
+# result as BENCH_replay.json. Regenerate after TLB or replay changes
+# and commit the diff.
 bench-replay:
 	{ $(GO) test -run '^$$' -bench BenchmarkAccess -benchmem -count 3 ./internal/tlb/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkGeneratorFill -benchmem -count 3 ./internal/trace/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFigure11(Replay|Sharded)' -benchmem -count 3 ./internal/sim/ ; } \
+	  $(GO) test -run '^$$' -bench BenchmarkFigure11Replay -benchmem -count 3 ./internal/sim/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_replay.json
 
 # bench-mmu measures the composable translation hierarchy — the
 # Hierarchy dispatch micro-costs (L1 hit bare vs behind the full
 # L1+L2+PWC chain, and the miss path through filter and fill) and the
-# end-to-end Figure 11a replay under each -mmu pipeline, serial and
-# sharded — and snapshots the result as BENCH_mmu.json. flat vs
+# end-to-end Figure 11a replay under each -mmu pipeline, plus all three
+# fused in one pass — and snapshots the result as BENCH_mmu.json. flat vs
 # Figure11Replay/e64/indexed bounds the cost of the abstraction when
 # unconfigured. Regenerate after mmu or replay changes and commit the
 # diff.

@@ -90,9 +90,9 @@ func firstDiffWindow(a, b []byte) []byte {
 
 // TestGoldenOutputMMU pins Figure 11a–d under the multi-level
 // translation pipelines (-mmu l2 and l2+pwc), which TestGoldenOutput
-// covers only through the hierarchy experiment's Figure 11a tables. The
-// shard identity tests compare serial with sharded replay, so they
-// cannot notice both paths drifting together; this file can. The worker
+// covers only through the hierarchy experiment's Figure 11a tables.
+// The pipeline identity test compares fused with separate replays, so
+// it cannot notice both drifting together; this file can. The worker
 // and shard counts vary from run to run as in TestGoldenOutput.
 //
 // Regenerate after an intentional change with:

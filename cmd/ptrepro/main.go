@@ -7,9 +7,10 @@
 // Every experiment resolves through the engine registry
 // (internal/engine): the engine fans each experiment's cells over a
 // bounded worker pool and merges results deterministically, and -shards
-// additionally splits each cell's replay across intra-cell lanes carved
-// from the same worker budget, so output is byte-identical at any
-// (-workers, -shards) combination for a fixed -seed/-refs.
+// lets each churn and replication cell spread its independent replays
+// over intra-cell lanes carved from the same worker budget, so output
+// is byte-identical at any (-workers, -shards) combination for a fixed
+// -seed/-refs.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ var (
 	seedFlag     = flag.Uint64("seed", 1, "base trace seed (cells derive independent streams)")
 	csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	workersFlag  = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent experiment cells")
-	shardsFlag   = flag.Int("shards", 1, "intra-cell replay lanes (shares the -workers budget; results identical at any value)")
+	shardsFlag   = flag.Int("shards", 1, "intra-cell lanes for the churn and replication cells' independent replays (shares the -workers budget; results identical at any value)")
 	replicasFlag = flag.Int("replicas", 0, "cap on concurrently live replicated point replays in the replication experiment (0 = lanes decide; results identical at any value)")
 	mmuFlag      = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
 	verboseFlag  = flag.Bool("v", false, "log per-experiment progress to stderr")
@@ -71,8 +72,18 @@ func main() {
 
 // checkFlags rejects flag values no experiment can honor.
 func checkFlags() error {
-	if *refsFlag < 0 {
-		return fmt.Errorf("-refs %d: must not be negative", *refsFlag)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"refs", *refsFlag},
+		{"workers", *workersFlag},
+		{"shards", *shardsFlag},
+		{"replicas", *replicasFlag},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: must not be negative", f.name, f.v)
+		}
 	}
 	_, err := sim.ParseMMU(*mmuFlag)
 	return err

@@ -73,23 +73,32 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestCheckFlags: a negative -refs and an unknown -mmu are flag errors,
-// caught before any experiment runs.
+// TestCheckFlags: a negative -refs, -workers, -shards or -replicas and
+// an unknown -mmu are flag errors, caught before any experiment runs.
 func TestCheckFlags(t *testing.T) {
-	defer func() { *refsFlag, *mmuFlag = 400_000, "flat" }()
+	workers, shards, replicas := *workersFlag, *shardsFlag, *replicasFlag
+	defer func() {
+		*refsFlag, *mmuFlag = 400_000, "flat"
+		*workersFlag, *shardsFlag, *replicasFlag = workers, shards, replicas
+	}()
 	for _, tc := range []struct {
-		refs int
-		mmu  string
-		ok   bool
+		refs, workers, shards, replicas int
+		mmu                             string
+		ok                              bool
 	}{
-		{400_000, "flat", true},
-		{0, "l2+pwc", true},
-		{-5, "flat", false},
-		{400_000, "l3", false},
+		{400_000, 1, 1, 0, "flat", true},
+		{0, 0, 0, 0, "l2+pwc", true},
+		{-5, 1, 1, 0, "flat", false},
+		{400_000, 1, 1, 0, "l3", false},
+		{400_000, -3, 1, 0, "flat", false},
+		{400_000, 1, -3, 0, "flat", false},
+		{400_000, 1, 1, -3, "flat", false},
 	} {
 		*refsFlag, *mmuFlag = tc.refs, tc.mmu
+		*workersFlag, *shardsFlag, *replicasFlag = tc.workers, tc.shards, tc.replicas
 		if err := checkFlags(); (err == nil) != tc.ok {
-			t.Errorf("-refs %d -mmu %s: err = %v, want ok=%v", tc.refs, tc.mmu, err, tc.ok)
+			t.Errorf("-refs %d -workers %d -shards %d -replicas %d -mmu %s: err = %v, want ok=%v",
+				tc.refs, tc.workers, tc.shards, tc.replicas, tc.mmu, err, tc.ok)
 		}
 	}
 }

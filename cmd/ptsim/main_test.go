@@ -30,7 +30,7 @@ gcc/make: table=clustered PTE bytes=2880 nodes=20 mappings=139
 gcc/sh: table=clustered PTE bytes=2304 nodes=16 mappings=102
 gcc/script: table=clustered PTE bytes=2304 nodes=16 mappings=92
 
-workload=gcc table=clustered tlb=single entries=64 line=256 workers=1 shards=1
+workload=gcc table=clustered tlb=single entries=64 line=256 workers=1
 accesses=20000 misses=16047 miss-ratio=0.80235
 `
 
@@ -49,7 +49,7 @@ func TestOutputPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("-replicas %s -workers %s: %v", tc.replicas, workers, err)
 			}
-			got = strings.Replace(got, " workers="+workers+" ", " workers=1 ", 1)
+			got = strings.Replace(got, " workers="+workers+"\n", " workers=1\n", 1)
 			if got != tc.want {
 				t.Errorf("-replicas %s -workers %s:\n--- got ---\n%s--- want ---\n%s", tc.replicas, workers, got, tc.want)
 			}
@@ -67,14 +67,17 @@ func TestReplicasRejectSubblock(t *testing.T) {
 	}
 }
 
-// TestRejectsBadNumericFlags: an out-of-range -entries, -line or -refs
-// is an error reported before any cell runs, never a panic, a silent
-// default, or a wrapped-around total.
+// TestRejectsBadNumericFlags: an out-of-range -entries, -line or -refs,
+// or a negative -workers or -replicas, is an error reported before any
+// cell runs, never a panic, a silent default, or a wrapped-around
+// total.
 func TestRejectsBadNumericFlags(t *testing.T) {
 	t.Cleanup(func() {
 		flag.Set("entries", "64")
 		flag.Set("line", "256")
 		flag.Set("refs", "400000")
+		flag.Set("workers", "1")
+		flag.Set("replicas", "0")
 	})
 	for _, tc := range []struct{ name, value string }{
 		{"entries", "-1"},
@@ -83,6 +86,8 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		{"line", "4"},
 		{"line", "0"},
 		{"refs", "-5"},
+		{"workers", "-3"},
+		{"replicas", "-3"},
 	} {
 		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
 			defer func() {

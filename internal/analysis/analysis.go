@@ -99,7 +99,6 @@ func DefaultConfig(module string) Config {
 			p("internal/engine") + ".Fan",
 			p("internal/engine") + ".FanWith",
 			p("internal/engine") + ".FanSharded",
-			p("internal/engine") + ".FanShardedWith",
 		},
 	}
 }

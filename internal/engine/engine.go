@@ -169,11 +169,12 @@ type Options struct {
 	Seed uint64
 	// Workers bounds concurrent cells (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the intra-cell lane budget for experiments that support
-	// sharded replay (FanSharded): each cell may split its replay across
+	// Shards is the intra-cell lane budget of the cells scheduled by
+	// FanSharded — the churn and replication experiments, whose cells
+	// hold several independent replays: each cell may spread them over
 	// up to this many goroutine lanes, carved out of the same Workers
-	// budget rather than added to it. 0 or 1 runs every cell serially.
-	// Results are byte-identical at every value.
+	// budget rather than added to it. 0 or 1 runs every cell on one
+	// lane. Results are byte-identical at every value.
 	Shards int
 	// MMU selects the translation hierarchy (-mmu flag) the replay
 	// experiments model around each simulated TLB. The zero value is the

@@ -140,12 +140,11 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 
 // TestDeterministicAcrossShards pins the nested-parallelism guarantee:
 // the (-workers, -shards) grid renders byte-identical tables. The
-// experiments covered are the sharded-replay consumer (fig11a), the
-// partition what-if, the churn time series, and the multi-level
-// hierarchy replay (whose stateful L2/PWC levels are the newest threat
-// to lane-independence); full "all" coverage at shards>1 rides on
-// TestDeterministicAcrossWorkers plus the sim-level shard identity
-// tests.
+// experiments covered are a Figure 11 graph (fig11a), the partition
+// what-if, the churn time series (a FanSharded consumer, whose cells
+// spread their per-organization replays over lanes), and the
+// multi-level hierarchy replay; full "all" coverage at shards>1 rides
+// on TestDeterministicAcrossWorkers.
 func TestDeterministicAcrossShards(t *testing.T) {
 	run := func(workers, shards int) []byte {
 		var out []byte

@@ -14,9 +14,8 @@ import (
 // L1+L2 plus a 16-entry page-walk cache. One cell per workload replays
 // its trace once through a shared L1 stage feeding all three pipelines
 // (sim.RunFigure11Pipelines), so the L1 miss denominator is identical
-// across the three tables by construction; each cell is a full sharded
-// Figure 11 replay, so the rendered tables are byte-identical at any
-// (-workers, -shards).
+// across the three tables by construction, and the rendered tables are
+// byte-identical at any -workers.
 
 // hierarchyModes are the rendered pipeline configurations, in report
 // order (the -mmu flag spellings).
@@ -32,14 +31,13 @@ func runHierarchy(ctx context.Context, rc *RunContext) (*Result, error) {
 		mmus[i] = m
 	}
 	profiles := tracedProfiles()
-	cells := make([]ShardedCell[[]sim.AccessRow], len(profiles))
+	cells := make([]Cell[[]sim.AccessRow], len(profiles))
 	for i, p := range profiles {
-		p := p
-		cells[i] = ShardedCell[[]sim.AccessRow]{
+		cells[i] = Cell[[]sim.AccessRow]{
 			Key: "hierarchy/" + p.Name,
-			Run: func(ctx context.Context, seed uint64, lanes int) ([]sim.AccessRow, error) {
+			Run: func(ctx context.Context, seed uint64) ([]sim.AccessRow, error) {
 				rows, err := sim.RunFigure11Pipelines(sim.Fig11a, p, sim.AccessConfig{
-					Refs: rc.Refs, Seed: seed, Shards: lanes, Buf: sim.ReplayBufFrom(ctx),
+					Refs: rc.Refs, Seed: seed, Buf: sim.ReplayBufFrom(ctx),
 				}, mmus)
 				if err != nil {
 					return nil, err
@@ -49,7 +47,7 @@ func runHierarchy(ctx context.Context, rc *RunContext) (*Result, error) {
 			},
 		}
 	}
-	rows, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	rows, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
 	}

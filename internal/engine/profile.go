@@ -12,7 +12,8 @@ import (
 // written to cpuPath while fn runs, and a heap profile written to
 // memPath after it returns. An empty path skips that profile. Every
 // cell the engine runs carries "experiment" and "cell" profiler labels
-// (its sharded lanes inherit them), so one CPU profile splits by cell:
+// (the lanes a FanSharded cell starts inherit them), so one CPU profile
+// splits by cell:
 //
 //	go tool pprof -tagfocus cell=hierarchy/coral cpu.out
 //

@@ -142,7 +142,7 @@ func fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T], workers in
 				var v T
 				var err error
 				// Profiler labels name the cell in CPU profiles; the
-				// lanes a sharded cell starts inherit them.
+				// lanes a FanSharded cell starts inherit them.
 				pprof.Do(wctx, pprof.Labels("experiment", rc.exp, "cell", c.Key), func(ctx context.Context) {
 					v, err = c.Run(ctx, trace.DeriveSeed(rc.Seed, c.Key))
 				})
@@ -187,19 +187,13 @@ func FanWith[T any](ctx context.Context, e *Engine, label string, cells []Cell[T
 	return Fan(ctx, rc, cells)
 }
 
-// FanShardedWith is FanWith for sharded cells: ad-hoc cells scheduled
-// with the engine's Shards lane budget carved from its Workers pool.
-func FanShardedWith[T any](ctx context.Context, e *Engine, label string, cells []ShardedCell[T]) ([]T, error) {
-	rc := &RunContext{eng: e, exp: label, Refs: e.opts.Refs, Seed: e.opts.Seed}
-	return FanSharded(ctx, rc, rc.Shards(), cells)
-}
-
 // Budget is a non-blocking pool of spare worker tokens that concurrent
 // cells share for nested parallelism: a cell grabs what is free when it
 // starts and returns it when it finishes. Grants are first-come —
 // deliberately nondeterministic — which is safe only because lane
-// counts never influence results (the sharded replay is byte-identical
-// at every lane count; sim's shard tests pin this).
+// counts never influence results: the churn and replication cells run
+// the same independent replays at any lane count and merge them by
+// index.
 type Budget struct {
 	tokens chan struct{}
 }
@@ -235,8 +229,9 @@ func (b *Budget) Release(n int) {
 	}
 }
 
-// ShardedCell is a Cell whose Run can spread its replay across lanes
-// goroutine lanes (always >= 1). The result must not depend on lanes.
+// ShardedCell is a Cell whose Run can spread its independent replays
+// across lanes goroutine lanes (always >= 1). The result must not
+// depend on lanes.
 type ShardedCell[T any] struct {
 	Key string
 	Run func(ctx context.Context, seed uint64, lanes int) (T, error)
@@ -248,7 +243,8 @@ type ShardedCell[T any] struct {
 // Budget, so every cell runs with 1 + TryAcquire(shards-1) lanes. With
 // many cells the pool stays busy and cells run mostly serial; as the
 // tail drains, finished cells release their tokens and the stragglers
-// pick up lanes — the weighted scheduler the -shards flag exposes.
+// pick up lanes — the weighted scheduler ptrepro's -shards flag
+// exposes.
 // shards <= 1 degrades to Fan with every cell at one lane.
 func FanSharded[T any](ctx context.Context, rc *RunContext, shards int, cells []ShardedCell[T]) ([]T, error) {
 	plain := make([]Cell[T], len(cells))

@@ -11,9 +11,10 @@ import "strings"
 // hardware protection and status bits plus software-reserved bits.
 type Attr uint16
 
-// Attribute bits. REF and MOD are maintained by the TLB miss handler
-// without acquiring locks (§3.1), so the page tables update them with
-// atomic operations.
+// Attribute bits. In the paper the TLB miss handler maintains REF and
+// MOD without acquiring locks (§3.1); this simulator never sets them
+// on a walk, so they change only through the tables' locked write
+// paths (Map, ProtectRange).
 const (
 	AttrR   Attr = 1 << iota // readable
 	AttrW                    // writable

@@ -2,7 +2,6 @@ package pte
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
 )
@@ -71,31 +70,4 @@ func EntryFromWord(w Word, vpn addr.VPN, boff uint64) Entry {
 		e.Size = addr.Size4K
 	}
 	return e
-}
-
-// AtomicLoad reads a mapping word with acquire semantics. TLB miss
-// handlers read page tables without acquiring locks (§3.1); atomic word
-// access keeps that sound in Go.
-func AtomicLoad(p *Word) Word { return Word(atomic.LoadUint64((*uint64)(p))) }
-
-// AtomicStore writes a mapping word with release semantics.
-func AtomicStore(p *Word, w Word) { atomic.StoreUint64((*uint64)(p), uint64(w)) }
-
-// AtomicSetAttr sets attribute bits on a mapping word with a CAS loop.
-// Used by miss handlers to update REF and MOD without locks; it is a no-op
-// if the word is invalidated concurrently.
-func AtomicSetAttr(p *Word, bits Attr) {
-	for {
-		old := AtomicLoad(p)
-		if !old.Valid() {
-			return
-		}
-		nw := old | Word(bits&AttrMask)
-		if nw == old {
-			return
-		}
-		if atomic.CompareAndSwapUint64((*uint64)(p), uint64(old), uint64(nw)) {
-			return
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package pte
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -217,45 +216,6 @@ func TestWordString(t *testing.T) {
 		if w.String() == "" || w.String() == "<invalid>" {
 			t.Errorf("String of %#x wrong", uint64(w))
 		}
-	}
-}
-
-func TestAtomicSetAttr(t *testing.T) {
-	w := MakeBase(9, AttrR)
-	AtomicSetAttr(&w, AttrRef)
-	if !w.Attr().Has(AttrRef) {
-		t.Error("AttrRef not set")
-	}
-	// Setting on an invalid word is a no-op.
-	inv := Invalid
-	AtomicSetAttr(&inv, AttrRef)
-	if inv != Invalid {
-		t.Error("AtomicSetAttr revived invalid word")
-	}
-}
-
-func TestAtomicSetAttrConcurrent(t *testing.T) {
-	w := MakeBase(9, AttrR)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		bit := AttrRef
-		if i%2 == 1 {
-			bit = AttrMod
-		}
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				AtomicSetAttr(&w, bit)
-			}
-		}()
-	}
-	wg.Wait()
-	if !w.Attr().Has(AttrRef | AttrMod) {
-		t.Errorf("final attrs = %v", w.Attr())
-	}
-	if w.PPN() != 9 {
-		t.Errorf("PPN corrupted: %#x", uint64(w.PPN()))
 	}
 }
 

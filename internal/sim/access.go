@@ -78,12 +78,6 @@ type AccessConfig struct {
 	// Buf, when set, is the reusable chunk buffer replay fills; the
 	// engine passes each worker's. Nil allocates per run.
 	Buf *ReplayBuf
-	// Shards is the intra-cell lane budget: 0 or 1 replays serially,
-	// k > 1 runs the fan-out/merge pipeline (shard.go) across k
-	// goroutine lanes. Results are byte-identical at every value — the
-	// pipeline is an exact functional decomposition of the serial
-	// replay, not an approximation (DESIGN.md §10).
-	Shards int
 	// MMU selects the translation hierarchy modelled around each TLB
 	// (L2 TLB, page-walk cache). The zero value is the paper's flat
 	// single-level hierarchy and reproduces the pre-hierarchy
@@ -210,9 +204,7 @@ func checkPipelines(f Figure, mmus []MMUConfig) error {
 
 // figureState is one process's simulation state, split into the shared
 // L1 stage — the variant page tables, the reference TLB and each linear
-// variant's main TLB — and one tail per MMU pipeline. The serial and
-// sharded replay paths build it identically; only the loop structure
-// around it differs.
+// variant's main TLB — and one tail per MMU pipeline.
 type figureState struct {
 	variants  []TableVariant
 	builds    []*Build
@@ -232,9 +224,8 @@ type figureState struct {
 // the unified L2 TLB shared by the non-reserved-TLB variants (nil when
 // flat) — hit/miss outcomes are variant-independent, so one level models
 // all of them — the tree-walked variant's page-walk cache (nil without
-// one), and each linear variant's private levels. All of it evolves only
-// on stream-ordered paths (the driver for l2/pwc, the linear lane for
-// lins), which is what keeps sharded replay deterministic.
+// one), and each linear variant's private levels. refStage evolves l2
+// and pwc, linLane the lins.
 type tailState struct {
 	l2   *swtlb.Cache
 	pwc  *walkcache.PWC
@@ -259,7 +250,7 @@ type linState struct {
 // small TLB caching mappings to the page-table pages, and under a
 // multi-level MMU a private L2 TLB and nested-walk cache — the linear
 // main-TLB miss stream differs from the reference TLB's, so the
-// driver's levels cannot be shared.
+// tail's own l2 and pwc cannot serve it.
 type linTail struct {
 	pt  *tlb.TLB
 	l2  *swtlb.Cache
@@ -387,13 +378,11 @@ type procResult struct {
 }
 
 // runProcess drives one process's trace through the figure's TLBs and
-// page tables under every pipeline in mmus. With cfg.Shards > 1 it
-// hands the replay to the sharded fan-out/merge pipeline; the results
-// are identical either way. Both paths first build the process's
-// walk-cost table, walking each mapped page once per variant, and
-// charge every miss's variant walks from it. The serial loop runs the
-// pipeline's three stages (refStage, walkLane, linLane) inline, without
-// the refill-entry memos the sharded lanes keep.
+// page tables under every pipeline in mmus. It first builds the
+// process's walk-cost table, walking each mapped page once per variant,
+// then runs the three replay stages (refStage, walkLane, linLane)
+// inline over the buffered reference stream, charging every miss's
+// variant walks from the table.
 func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, mmus []MMUConfig) (procResult, error) {
 	st, err := newFigureState(f, snap, cfg, mmus)
 	if err != nil {
@@ -403,13 +392,10 @@ func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig
 	if err != nil {
 		return procResult{}, err
 	}
-	if cfg.Shards > 1 {
-		return runProcessSharded(f, st, costs, snap, refs, cfg, cfg.Shards)
-	}
 
-	ref := newRefStage(f, st, false)
+	ref := &refStage{f: f, st: st}
 	walk := newWalkLane(st, costs)
-	lin := newLinLane(f, st, false)
+	lin := newLinLane(f, st)
 	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
 	var misses uint64
 	err = replay(gen, cfg.Buf, refs, func(va addr.V) error {
@@ -428,20 +414,11 @@ func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig
 	if err != nil {
 		return procResult{}, err
 	}
-	return mergeLanes(misses, lin, walk), nil
-}
-
-// mergeLanes sums the stages' per-pipeline accumulators in a fixed lane
-// order: plain uint64 adds over disjoint accumulators, so the totals
-// cannot depend on which lane saw which miss.
-func mergeLanes(misses uint64, lin *linLane, walks ...*walkLane) procResult {
-	res := procResult{misses: misses, lines: lin.lines, nested: lin.nested}
-	for _, w := range walks {
-		for t := range res.lines {
-			res.lines[t].add(&w.lines[t])
-		}
+	// The stages charge disjoint classes, so the merge is a plain sum.
+	for t := range lin.lines {
+		lin.lines[t].add(&walk.lines[t])
 	}
-	return res
+	return procResult{misses: misses, lines: lin.lines, nested: lin.nested}, nil
 }
 
 // pteForLeaf fabricates a TLB entry for a page-table page: only the tag

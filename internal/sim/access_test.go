@@ -323,8 +323,7 @@ func TestLinearNestedMissesAreRare(t *testing.T) {
 // variant reserves 8 entries, so a TLB of 8 or fewer leaves its main
 // TLB empty (which the TLB's zero-value default would silently turn
 // into 64 entries) or negative, and must be an error rather than a
-// panic or a changed model. One entry more runs, at both lane counts
-// and under every figure.
+// panic or a changed model. One entry more runs, under every figure.
 func TestFigure11EntriesAboveReserved(t *testing.T) {
 	p := profile(t, "gcc")
 	for _, c := range []struct {
@@ -334,11 +333,9 @@ func TestFigure11EntriesAboveReserved(t *testing.T) {
 		{-1, false}, {4, false}, {8, false}, {9, true},
 	} {
 		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
-			for _, shards := range []int{1, 2} {
-				_, err := RunFigure11(f, p, AccessConfig{Refs: 2_000, Entries: c.entries, Shards: shards})
-				if (err == nil) != c.ok {
-					t.Errorf("%v/entries=%d/shards=%d: err = %v, want ok=%v", f, c.entries, shards, err, c.ok)
-				}
+			_, err := RunFigure11(f, p, AccessConfig{Refs: 2_000, Entries: c.entries})
+			if (err == nil) != c.ok {
+				t.Errorf("%v/entries=%d: err = %v, want ok=%v", f, c.entries, err, c.ok)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package sim
 
 // End-to-end benchmarks for the translation hierarchy: the full Figure
-// 11a replay under each -mmu pipeline, serial and sharded. flat is the
-// pre-hierarchy baseline (and must stay within noise of
+// 11a replay under each -mmu pipeline. flat is the pre-hierarchy
+// baseline (and must stay within noise of
 // BenchmarkFigure11Replay/e64/indexed — the hierarchy plumbing is free
 // when unconfigured); l2 adds the per-miss L2 probe and its insert
 // traffic; l2+pwc adds the walk-cache probe on the tree-walked
@@ -10,10 +10,11 @@ package sim
 // RunFigure11Pipelines pass over a shared L1 stage: the hierarchy
 // experiment's cell, to set against the sum of the three separate
 // rows. `make bench-mmu` snapshots these plus the internal/mmu
-// micro-benchmarks into BENCH_mmu.json.
+// micro-benchmarks into BENCH_mmu.json. The rows keep their /s1 suffix
+// so snapshots stay comparable with those taken when sharded /s4 rows
+// sat beside them.
 
 import (
-	"fmt"
 	"testing"
 
 	"clusterpt/internal/trace"
@@ -31,29 +32,25 @@ func BenchmarkFigure11Hierarchy(b *testing.B) {
 			b.Fatal(err)
 		}
 		all = append(all, mcfg)
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/s%d", mode, shards), func(b *testing.B) {
-				cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}, MMU: mcfg}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("fused/s%d", shards), func(b *testing.B) {
-			cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}}
+		b.Run(mode+"/s1", func(b *testing.B) {
+			cfg := AccessConfig{Refs: 400_000, Seed: 1, Buf: &ReplayBuf{}, MMU: mcfg}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunFigure11Pipelines(Fig11a, p, cfg, all); err != nil {
+				if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	b.Run("fused/s1", func(b *testing.B) {
+		cfg := AccessConfig{Refs: 400_000, Seed: 1, Buf: &ReplayBuf{}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := RunFigure11Pipelines(Fig11a, p, cfg, all); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -43,25 +43,3 @@ func BenchmarkFigure11Replay(b *testing.B) {
 		benchmarkFigure11(b, Fig11d, AccessConfig{Entries: 64})
 	})
 }
-
-// BenchmarkFigure11Sharded measures the fan-out/merge pipeline against
-// the serial baseline above (Figure11Replay/e64/indexed): the same
-// Figure 11a run at lane counts 1 through 8. s1 is the serial loop via
-// the dispatch fallthrough; s2+ split the replay across the driver,
-// linear, and walk lanes, and the driver and linear lane memoize their
-// refill lookups, which is where the speedup comes from even on a
-// single core. Both charge walks from the same walk-cost table. The
-// fig11d rows do the same for the block-prefetch replay, where the
-// memos hold the gathered entries.
-func BenchmarkFigure11Sharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
-			benchmarkFigure11(b, Fig11a, AccessConfig{Shards: shards})
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("fig11d/s%d", shards), func(b *testing.B) {
-			benchmarkFigure11(b, Fig11d, AccessConfig{Shards: shards})
-		})
-	}
-}

@@ -19,70 +19,29 @@ import (
 // amortize loop setup, small enough to stay cache-resident (32KB).
 const replayChunk = 4096
 
-// ReplayBuf is a reusable chunk-buffer free list for the replay loops.
-// The engine hands each worker one, so a worker's cells share chunk
-// allocations for the whole run; a nil *ReplayBuf still works and
-// allocates per replay.
-//
-// It is a free list rather than a single slot because the sharded
-// replay pipeline keeps several chunks in flight at once (reference
-// and miss buffers per pipeline stage), and because take used to
-// discard a grown backing array whenever a later caller asked for a
-// different chunk size — every buffer returned through put stays
-// available for any subsequent take it can satisfy. Not safe for
-// concurrent use: only the pipeline's driver goroutine touches it.
+// ReplayBuf is one reusable replay chunk. The engine hands each worker
+// one, so a worker's cells share the chunk for the whole run; a nil
+// *ReplayBuf still works and allocates per replay. The chunk is an
+// array, so its capacity is replayChunk by construction: Fill clamps
+// to the capacity it is given, and a shorter chunk would silently
+// shorten every later replay on the worker. Not safe for concurrent
+// use.
 type ReplayBuf struct {
-	free [][]addr.V
-}
-
-// take returns an empty chunk with capacity at least n, reusing the
-// largest-capacity free buffer that satisfies the request and
-// allocating only when none does.
-func (b *ReplayBuf) take(n int) []addr.V {
-	if b == nil {
-		return make([]addr.V, 0, n)
-	}
-	best := -1
-	for i, s := range b.free {
-		if cap(s) < n {
-			continue
-		}
-		if best < 0 || cap(s) > cap(b.free[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]addr.V, 0, n)
-	}
-	s := b.free[best]
-	last := len(b.free) - 1
-	b.free[best] = b.free[last]
-	b.free = b.free[:last]
-	return s[:0]
-}
-
-// put returns a chunk to the free list for later takes. Zero-capacity
-// slices are dropped; everything else is retained regardless of the
-// size it was taken at, so growth is never thrown away.
-func (b *ReplayBuf) put(s []addr.V) {
-	if b == nil || cap(s) == 0 {
-		return
-	}
-	b.free = append(b.free, s)
+	chunk [replayChunk]addr.V
 }
 
 // replay streams refs references from gen through step in buffered
 // chunks. step returning an error aborts the replay.
 func replay(gen *trace.Generator, buf *ReplayBuf, refs int, step func(addr.V) error) error {
-	chunk := buf.take(replayChunk)
-	defer func() { buf.put(chunk) }()
+	if buf == nil {
+		buf = new(ReplayBuf)
+	}
 	for refs > 0 {
 		n := replayChunk
 		if n > refs {
 			n = refs
 		}
-		chunk = gen.Fill(chunk, n)
-		for _, va := range chunk {
+		for _, va := range gen.Fill(buf.chunk[:0], n) {
 			if err := step(va); err != nil {
 				return err
 			}

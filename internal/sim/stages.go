@@ -1,0 +1,342 @@
+package sim
+
+// Replay stages. One process's Figure 11 replay interleaves three
+// independent state machines per reference, and runProcess runs them
+// inline, in stream order:
+//
+//   - refStage: the shared reference TLB's miss service. It probes
+//     every pipeline's L2 TLB, refills the reference TLB from the
+//     canonical table, fills the L2s and probes the page-walk caches
+//     of the pipelines that walk, and packs each miss's outcome into a
+//     miss record.
+//   - walkLane: the read-only variant walks. It turns a miss record
+//     into per-pipeline line charges, reading the walk's cost from the
+//     process's walk-cost table (walkcost.go): every mapped page was
+//     walked once in every variant before replay, so a miss costs an
+//     indexed read however many pipelines charge it.
+//   - linLane: every linear variant's shared main TLB and per-pipeline
+//     reserved TLB, L2 and nested-walk cache.
+//
+// walkLane and linLane charge disjoint accounting classes (the
+// non-reserved variants and the linear ones), so runProcess merges
+// their per-pipeline accumulators with plain uint64 adds. DESIGN.md
+// §10 states the contract.
+
+import (
+	"fmt"
+
+	"clusterpt/internal/addr"
+	"clusterpt/internal/linear"
+	"clusterpt/internal/mmu/walkcache"
+	"clusterpt/internal/pagetable"
+	"clusterpt/internal/pte"
+	"clusterpt/internal/tlb"
+)
+
+// A miss record is the missing page's address with the page-offset bits
+// reused for the outcome walkLane needs: bit 0 says a Fig11d miss was a
+// full-block miss (prefetch walk) rather than a subblock miss
+// (single-page walk), and pipeline t owns bits 1+2t (its L2 TLB
+// serviced the miss: no walk, only the probe line) and 2+2t (its
+// page-walk cache hit: the tree-walked variant's upper levels elide).
+// The walk costs are held per page, so they never read the offset. The
+// stateful L2s and PWCs evolve only in refStage; walkLane turns these
+// bits into pure per-record arithmetic.
+const (
+	missBlockBit = 1
+	// maxTails is how many pipelines' bit pairs fit the page offset.
+	maxTails = (addr.BasePageShift - 1) / 2
+)
+
+// missL2Hit is pipeline t's L2-hit bit in a miss record.
+func missL2Hit(t int) addr.V { return 1 << (1 + 2*t) }
+
+// missPWCHit is pipeline t's page-walk-cache-hit bit in a miss record.
+func missPWCHit(t int) addr.V { return 1 << (2 + 2*t) }
+
+// refStage services the reference TLB's misses. The canonical walk's
+// cost is never charged (only the variant walks are). It looks up every
+// refill entry afresh: memoizing the entries measured +15–31% replay
+// RSS, over the benchmark's bound. Block gathers append into buf,
+// reused from miss to miss.
+type refStage struct {
+	f   Figure
+	st  *figureState
+	buf []pte.Entry
+}
+
+// service handles one reference-TLB miss and returns its miss record.
+// Every pipeline's L2 is probed first; an L2 hit refills the L1 with the
+// base page and skips that pipeline's walk. If any pipeline walks, the
+// L1 is refilled from the canonical (clustered) build, and each walking
+// pipeline fills its L2 with the same entries and probes its page-walk
+// cache. With one pipeline that is exactly its serial miss path; with
+// several, checkPipelines guarantees both refills carry the same tag.
+func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
+	st := r.st
+	vpn := addr.VPNOf(va)
+	rec := va &^ addr.OffsetMask
+	walks := false
+	for t, tl := range st.tails {
+		if tl.l2 != nil && tl.l2.Access(va).Hit {
+			rec |= missL2Hit(t)
+		} else {
+			walks = true
+		}
+	}
+	if !walks {
+		st.refTLB.Insert(baseRefill(vpn))
+		return rec, nil
+	}
+
+	var e pte.Entry
+	var entries []pte.Entry
+	block := r.f == Fig11d && !res.SubblockMiss
+	if block {
+		// Block miss with prefetch: gather the whole block (§4.4).
+		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
+		var err error
+		if entries, err = r.lookupBlock(vpbn); err != nil {
+			return 0, err
+		}
+		st.refTLB.InsertBlock(vpbn, entries)
+		rec |= missBlockBit
+	} else {
+		var found bool
+		if e, _, found = st.canonical.Lookup(va); !found {
+			return 0, fmt.Errorf("canonical table lost vpn %#x", uint64(vpn))
+		}
+		st.refTLB.Insert(e)
+	}
+	for t, tl := range st.tails {
+		if rec&missL2Hit(t) != 0 {
+			continue
+		}
+		if tl.l2 != nil {
+			if block {
+				for _, be := range entries {
+					tl.l2.Insert(be)
+				}
+			} else {
+				tl.l2.Insert(e)
+			}
+		}
+		if tl.pwc != nil && tl.pwc.Probe(vpn) {
+			rec |= missPWCHit(t)
+		}
+	}
+	return rec, nil
+}
+
+func (r *refStage) lookupBlock(vpbn addr.VPBN) ([]pte.Entry, error) {
+	br, ok := r.st.canonical.(pagetable.BlockReader)
+	if !ok {
+		return nil, fmt.Errorf("canonical table cannot prefetch blocks")
+	}
+	var found bool
+	r.buf, _, found = br.AppendBlock(r.buf[:0], vpbn, fig11dBlockLog)
+	if !found {
+		return nil, fmt.Errorf("canonical table lost block %#x", uint64(vpbn))
+	}
+	return r.buf, nil
+}
+
+// addCostElided merges one walk with the walk-cached class's upper
+// levels elided — the pure-arithmetic form of a page-walk-cache hit
+// (walkcache.ElideLines). Classes are unique per variant
+// (newFigureState validates), so the elision touches only the
+// tree-walked variant's lines.
+func (lc *lineCounts) addCostElided(c *walkCost, cls LineClass, upper uint32) {
+	for i := range lc {
+		if LineClass(i) == cls {
+			lc[i] += uint64(walkcache.ElideLines(int(c[i]), int(upper)))
+		} else {
+			lc[i] += uint64(c[i])
+		}
+	}
+}
+
+// walkLane charges miss records to every pipeline: the L2 probe line,
+// then — unless that pipeline's L2 hit — the variant walks, elided on a
+// page-walk-cache hit. The walk cost is read once per record from the
+// process's walk-cost table.
+type walkLane struct {
+	costs *walkTable
+	lines []lineCounts // per pipeline
+	// probe[t] (nil when pipeline t is flat) is the constant per-miss L2
+	// probe charge: l2ProbeLines for every non-reserved variant class.
+	// pwcClass and pwcUpper drive the elided merge on PWC-hit records.
+	probe    []*walkCost
+	pwcClass LineClass
+	pwcUpper uint32
+}
+
+func newWalkLane(st *figureState, costs *walkTable) *walkLane {
+	w := &walkLane{
+		costs: costs,
+		lines: make([]lineCounts, len(st.tails)),
+		probe: make([]*walkCost, len(st.tails)),
+	}
+	probe := new(walkCost)
+	for _, v := range st.variants {
+		if v.ReservedTLB == 0 {
+			probe[v.Class] += l2ProbeLines
+		}
+	}
+	for t, tl := range st.tails {
+		if tl.l2 != nil {
+			w.probe[t] = probe
+		}
+	}
+	if st.pwcIdx >= 0 {
+		w.pwcClass = st.variants[st.pwcIdx].Class
+		w.pwcUpper = uint32(st.pwcUpper)
+	}
+	return w
+}
+
+// charge accounts one miss record to every pipeline.
+func (w *walkLane) charge(rec addr.V) error {
+	var c *walkCost
+	for t := range w.lines {
+		if w.probe[t] != nil {
+			w.lines[t].addCost(w.probe[t])
+			if rec&missL2Hit(t) != 0 {
+				// L2 hit: no page-table walk happened at all.
+				continue
+			}
+		}
+		if c == nil {
+			var err error
+			if c, err = w.costs.cost(rec); err != nil {
+				return err
+			}
+		}
+		if rec&missPWCHit(t) != 0 {
+			w.lines[t].addCostElided(c, w.pwcClass, w.pwcUpper)
+		} else {
+			w.lines[t].addCost(c)
+		}
+	}
+	return nil
+}
+
+// linLane runs every linear variant's TLB state machines over the
+// reference stream. Like refStage, and for the same resident-memory
+// reason, it looks up every refill entry afresh; block gathers append
+// into buf, reused from miss to miss.
+type linLane struct {
+	f      Figure
+	lins   []*linState
+	tails  []*tailState
+	lines  []lineCounts // per pipeline
+	nested []uint64     // per pipeline
+	buf    []pte.Entry
+}
+
+func newLinLane(f Figure, st *figureState) *linLane {
+	return &linLane{
+		f: f, lins: st.lins, tails: st.tails,
+		lines:  make([]lineCounts, len(st.tails)),
+		nested: make([]uint64, len(st.tails)),
+	}
+}
+
+// step advances every linear variant over one reference.
+func (l *linLane) step(va addr.V) error {
+	for li, ls := range l.lins {
+		if err := l.service(li, ls, va); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// service advances one linear variant's TLBs for one reference. A
+// main-TLB miss costs one leaf-PTE line in each pipeline whose L2 (if
+// any) misses; a nested miss on the page-table page's mapping in that
+// pipeline's reserved entries adds the upper-level walk. The resulting
+// line count is later normalized by the 64-entry TLB's misses, charging
+// the opportunity cost of the reserved entries exactly as §6.1 does.
+func (l *linLane) service(li int, ls *linState, va addr.V) error {
+	res := ls.main.Access(va)
+	if res.Hit {
+		return nil
+	}
+	vpn := addr.VPNOf(va)
+
+	var hits uint64 // bit t: pipeline t's L2 hit
+	walks := false
+	for t, tl := range l.tails {
+		lt := &tl.lins[li]
+		if lt.l2 != nil {
+			l.lines[t][ls.class] += l2ProbeLines
+			if lt.l2.Access(va).Hit {
+				hits |= 1 << t
+				continue
+			}
+		}
+		walks = true
+	}
+	if !walks {
+		// An L2 hit hands the base translation straight up: no PTE
+		// array read, no nested page-table-page translation.
+		ls.main.Insert(baseRefill(vpn))
+		return nil
+	}
+
+	var e pte.Entry
+	var entries []pte.Entry
+	var c pagetable.WalkCost
+	block := l.f == Fig11d && !res.SubblockMiss
+	if block {
+		// Block miss with prefetch: the block's PTEs are adjacent in the
+		// PTE array.
+		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
+		var found bool
+		l.buf, c, found = ls.table.AppendBlock(l.buf[:0], vpbn, fig11dBlockLog)
+		if !found {
+			return fmt.Errorf("linear lost block %#x", uint64(vpbn))
+		}
+		entries = l.buf
+		ls.main.InsertBlock(vpbn, entries)
+	} else {
+		var found bool
+		if e, c, found = ls.table.Lookup(va); !found {
+			return fmt.Errorf("linear lost vpn %#x", uint64(vpn))
+		}
+		ls.main.Insert(e)
+	}
+
+	// The leaf PTE lives in virtual memory: translating its page can
+	// nest-miss in the reserved entries.
+	leafVA := addr.VAOf(addr.VPN(linear.LeafPageIndex(vpn)))
+	for t, tl := range l.tails {
+		if hits&(1<<t) != 0 {
+			continue
+		}
+		lt := &tl.lins[li]
+		l.lines[t][ls.class] += uint64(c.Lines)
+		if lt.l2 != nil {
+			if block {
+				for _, be := range entries {
+					lt.l2.Insert(be)
+				}
+			} else {
+				lt.l2.Insert(e)
+			}
+		}
+		if !lt.pt.Access(leafVA).Hit {
+			w := uint64(ls.upper)
+			if lt.pwc != nil && lt.pwc.Probe(vpn) {
+				// A walk-cache hit skips the upper directories: only the
+				// final directory line is read (ElideLines(upper, upper)).
+				w = 1
+			}
+			l.lines[t][ls.class] += w
+			lt.pt.Insert(pteForLeaf(vpn))
+			l.nested[t]++
+		}
+	}
+	return nil
+}

@@ -5,9 +5,8 @@ package sim
 // is a pure function of the page walked and the organization walking
 // it. So before replay starts, runProcess walks every mapped page once
 // in every non-reserved variant — and, under Fig11d, gathers every
-// block holding a mapped page once — and every replay path charges
-// misses from the resulting dense table: the serial loop and every
-// sharded walk lane read the same read-only slots.
+// block holding a mapped page once — and walkLane charges every miss
+// from the resulting dense, read-only table.
 
 import (
 	"fmt"

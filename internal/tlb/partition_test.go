@@ -160,11 +160,12 @@ func TestPartitionedCapacitySplit(t *testing.T) {
 	}
 }
 
-// TestPartitionedShardedReplayEquivalence ties the two new APIs
-// together: replaying each shard's sub-stream (trace.Split) against its
-// own slice directly — no routing, shard i drives Part(i) — produces
-// the same aggregate misses as routing the serial stream through the
-// partitioned TLB, because region-disjoint slices never interact.
+// TestPartitionedShardedReplayEquivalence: replaying each shard's
+// sub-stream — the serial stream filtered by route(va) == i — against
+// its own slice directly, with no routing (shard i drives Part(i)),
+// produces the same aggregate stats as routing the serial stream
+// through the partitioned TLB, because region-disjoint slices never
+// interact.
 func TestPartitionedShardedReplayEquivalence(t *testing.T) {
 	p, ok := trace.ProfileByName("compress")
 	if !ok {
@@ -202,12 +203,13 @@ func TestPartitionedShardedReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for si, sg := range trace.Split(snap, 9, k) {
+	for si := 0; si < k; si++ {
 		slice := direct.Part(si)
-		for {
-			_, va, ok := sg.Next(refs)
-			if !ok {
-				break
+		gen := trace.NewGenerator(snap, 9)
+		for i := 0; i < refs; i++ {
+			va := gen.Next()
+			if route(va) != si {
+				continue
 			}
 			if !slice.Access(va).Hit {
 				slice.Insert(baseEntry(addr.VPNOf(va)))

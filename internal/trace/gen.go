@@ -87,8 +87,7 @@ func (g *Generator) drawRegion() int {
 // emit consumes region ri's draws — one for the Random pattern's page
 // choice plus one for the byte offset — advances its cursor, and
 // returns the referenced address. drawRegion and emit together are
-// exactly Next, split so a sharded generator can substitute skipDraws
-// for emit on references it does not own.
+// exactly Next.
 func (g *Generator) emit(ri int) addr.V {
 	r := &g.regions[ri]
 	var page addr.VPN
@@ -106,21 +105,6 @@ func (g *Generator) emit(ri int) addr.V {
 		page = r.pages[g.rng.Intn(len(r.pages))]
 	}
 	return addr.VAOf(page) + addr.V(g.rng.Uint64n(addr.BasePageSize)&^7)
-}
-
-// skipDraws advances the RNG past the draws emit(ri) would consume,
-// without touching region ri's cursor. Cursor-driven patterns
-// (Sequential/Strided/Chase) draw only the byte offset; Random also
-// draws the page choice. A shard skipping a reference it does not own
-// must leave the RNG exactly where the owner's emit leaves it, and the
-// owner's cursor state depends only on how many references chose its
-// regions — which every shard observes identically via drawRegion.
-func (g *Generator) skipDraws(ri int) {
-	if g.regions[ri].pattern == Random {
-		g.rng.Skip(2)
-		return
-	}
-	g.rng.Skip(1)
 }
 
 // sattolo builds a single-cycle permutation: following it from any start

@@ -1,29 +1,8 @@
 package trace
 
-// Proof-style tests for the sharded generator: the union of the shard
-// streams must equal the serial stream — not just as a multiset, but
-// element-wise by global index, which subsumes the multiset claim.
-// Edge cases pinned here: K=1 byte-for-byte equality, more shards than
-// regions, reference counts not divisible by K, zero-reference limits,
-// and snapshots with no generator-active regions.
+import "testing"
 
-import (
-	"testing"
-
-	"clusterpt/internal/addr"
-)
-
-// gatherSerial draws the first n references of the serial stream.
-func gatherSerial(s ProcessSnapshot, seed uint64, n int) []addr.V {
-	g := NewGenerator(s, seed)
-	out := make([]addr.V, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// shardProfiles picks snapshots with varied region structure: gcc is
+// shardSnapshots picks snapshots with varied region structure: gcc is
 // multi-process with mixed patterns, coral is chase-heavy, ML is
 // random-heavy.
 func shardSnapshots(t *testing.T) []ProcessSnapshot {
@@ -37,183 +16,6 @@ func shardSnapshots(t *testing.T) []ProcessSnapshot {
 		snaps = append(snaps, p.Snapshot()...)
 	}
 	return snaps
-}
-
-// TestSplitUnionEqualsSerialStream is the shard/merge contract's
-// foundation: for every shard count, interleaving the shard streams by
-// global index reproduces the serial stream exactly. Each index must be
-// emitted by exactly one shard with exactly the serial address.
-func TestSplitUnionEqualsSerialStream(t *testing.T) {
-	const refs = 5000
-	for _, snap := range shardSnapshots(t) {
-		serial := gatherSerial(snap, 7, refs)
-		for _, k := range []int{1, 2, 3, 4, 8, 16} {
-			got := make([]addr.V, refs)
-			seen := make([]bool, refs)
-			for si, sg := range Split(snap, 7, k) {
-				for {
-					idx, va, ok := sg.Next(refs)
-					if !ok {
-						break
-					}
-					if idx < 0 || idx >= refs {
-						t.Fatalf("%s k=%d shard %d: index %d out of range", snap.Name, k, si, idx)
-					}
-					if seen[idx] {
-						t.Fatalf("%s k=%d: index %d emitted by two shards", snap.Name, k, idx)
-					}
-					seen[idx] = true
-					got[idx] = va
-				}
-			}
-			for i := range serial {
-				if !seen[i] {
-					t.Fatalf("%s k=%d: index %d emitted by no shard", snap.Name, k, i)
-				}
-				if got[i] != serial[i] {
-					t.Fatalf("%s k=%d: stream diverges at %d: %#x != %#x",
-						snap.Name, k, i, uint64(got[i]), uint64(serial[i]))
-				}
-			}
-		}
-	}
-}
-
-// TestSplitK1IsSerial pins the K=1 contract byte-for-byte: the single
-// shard owns every region, emits every index in order, and its
-// addresses equal the serial generator's.
-func TestSplitK1IsSerial(t *testing.T) {
-	const refs = 2000
-	for _, snap := range shardSnapshots(t) {
-		serial := gatherSerial(snap, 3, refs)
-		shards := Split(snap, 3, 1)
-		if len(shards) != 1 {
-			t.Fatalf("Split(k=1) returned %d shards", len(shards))
-		}
-		sg := shards[0]
-		for i := 0; i < refs; i++ {
-			idx, va, ok := sg.Next(refs)
-			if !ok || idx != i || va != serial[i] {
-				t.Fatalf("%s: k=1 diverges at %d: (%d, %#x, %v) != (%d, %#x)",
-					snap.Name, i, idx, uint64(va), ok, i, uint64(serial[i]))
-			}
-		}
-		if _, _, ok := sg.Next(refs); ok {
-			t.Fatalf("%s: k=1 shard emitted past the limit", snap.Name)
-		}
-	}
-}
-
-// TestSplitMoreShardsThanRegions: surplus shards own nothing and
-// terminate immediately; the owning shards still cover the full stream.
-func TestSplitMoreShardsThanRegions(t *testing.T) {
-	p, ok := ProfileByName("compress")
-	if !ok {
-		t.Fatal("no compress profile")
-	}
-	snap := p.Snapshot()[0]
-	regions := 0
-	for _, r := range snap.Regions {
-		if len(r.Pages) > 0 && r.Spec.Weight > 0 {
-			regions++
-		}
-	}
-	k := regions + 5
-	const refs = 1000
-	serial := gatherSerial(snap, 11, refs)
-	covered := make([]bool, refs)
-	idle := 0
-	for _, sg := range Split(snap, 11, k) {
-		emitted := 0
-		for {
-			idx, va, ok := sg.Next(refs)
-			if !ok {
-				break
-			}
-			if covered[idx] || va != serial[idx] {
-				t.Fatalf("k>regions: bad emission at %d", idx)
-			}
-			covered[idx] = true
-			emitted++
-		}
-		if emitted == 0 {
-			idle++
-		}
-	}
-	if idle < 5 {
-		t.Fatalf("expected at least 5 idle shards with k=%d over %d regions, got %d", k, regions, idle)
-	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("k>regions: index %d uncovered", i)
-		}
-	}
-}
-
-// TestSplitLimitsNotDivisible: arbitrary limits — including zero and
-// limits growing across calls — never lose or duplicate references.
-func TestSplitLimitsNotDivisible(t *testing.T) {
-	p, ok := ProfileByName("gcc")
-	if !ok {
-		t.Fatal("no gcc profile")
-	}
-	snap := p.Snapshot()[0]
-	const refs = 4097 // deliberately not divisible by any shard count used
-	serial := gatherSerial(snap, 5, refs)
-	for _, k := range []int{3, 8} {
-		shards := Split(snap, 5, k)
-		// Zero-reference limit: every shard must answer ok=false without
-		// consuming anything.
-		for _, sg := range shards {
-			if _, _, ok := sg.Next(0); ok {
-				t.Fatalf("k=%d: shard emitted under a zero limit", k)
-			}
-		}
-		// Then raise the limit in uneven steps; emissions must resume
-		// exactly where they left off.
-		covered := make([]bool, refs)
-		for _, limit := range []int{1, 100, 1000, refs} {
-			for _, sg := range shards {
-				for {
-					idx, va, ok := sg.Next(limit)
-					if !ok {
-						break
-					}
-					if idx >= limit || covered[idx] || va != serial[idx] {
-						t.Fatalf("k=%d limit=%d: bad emission at %d", k, limit, idx)
-					}
-					covered[idx] = true
-				}
-			}
-		}
-		for i, c := range covered {
-			if !c {
-				t.Fatalf("k=%d: index %d uncovered after staged limits", k, i)
-			}
-		}
-	}
-}
-
-// TestSplitEmptySnapshot: a snapshot with no generator-active regions
-// degenerates like the serial generator (address 0 for every
-// reference); shard 0 owns the whole degenerate stream.
-func TestSplitEmptySnapshot(t *testing.T) {
-	snap := ProcessSnapshot{Name: "empty"}
-	shards := Split(snap, 1, 4)
-	for i := 0; i < 10; i++ {
-		idx, va, ok := shards[0].Next(10)
-		if !ok || idx != i || va != 0 {
-			t.Fatalf("degenerate shard 0: (%d, %#x, %v) at step %d", idx, uint64(va), ok, i)
-		}
-	}
-	if _, _, ok := shards[0].Next(10); ok {
-		t.Fatal("degenerate shard 0 emitted past the limit")
-	}
-	for si, sg := range shards[1:] {
-		if _, _, ok := sg.Next(10); ok {
-			t.Fatalf("degenerate shard %d owns references", si+1)
-		}
-	}
 }
 
 // TestShardPlanBalancedAndStable: the plan is deterministic, covers
@@ -233,39 +35,6 @@ func TestShardPlanBalancedAndStable(t *testing.T) {
 				if a[i] < 0 || a[i] >= k {
 					t.Fatalf("%s: region %d assigned to shard %d of %d", snap.Name, i, a[i], k)
 				}
-			}
-		}
-	}
-}
-
-// TestShardSeedDistinct: the i.i.d. split helper derives distinct,
-// nonzero seeds per shard.
-func TestShardSeedDistinct(t *testing.T) {
-	seen := map[uint64]int{}
-	for i := 0; i < 64; i++ {
-		s := ShardSeed(42, i)
-		if s == 0 {
-			t.Fatalf("ShardSeed(42, %d) = 0", i)
-		}
-		if j, dup := seen[s]; dup {
-			t.Fatalf("ShardSeed collision between shards %d and %d", i, j)
-		}
-		seen[s] = i
-	}
-}
-
-// TestRNGSkipMatchesDraws: Skip(n) must land the generator exactly
-// where n discarded draws would.
-func TestRNGSkipMatchesDraws(t *testing.T) {
-	for _, n := range []uint64{0, 1, 2, 7, 1000} {
-		a, b := NewRNG(99), NewRNG(99)
-		for i := uint64(0); i < n; i++ {
-			a.Uint64()
-		}
-		b.Skip(n)
-		for i := 0; i < 8; i++ {
-			if x, y := a.Uint64(), b.Uint64(); x != y {
-				t.Fatalf("Skip(%d) diverges at draw %d: %#x != %#x", n, i, x, y)
 			}
 		}
 	}
