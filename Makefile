@@ -5,7 +5,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint fuzz-smoke bench bench-alloc bench-replay bench-mmu bench-replica
+.PHONY: all build test lint fuzz-smoke bench bench-e2e bench-alloc bench-replay bench-mmu bench-replica
 
 all: build lint test
 
@@ -40,6 +40,17 @@ fuzz-smoke:
 # measurement; use -benchtime with the go tool directly for numbers.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench-e2e is the end-to-end performance ledger: every registered
+# experiment run once through the engine at the ptbench reference
+# budget (400,000 references per trace), three samples each, snapshot
+# as BENCH_e2e.json — wall (ns/op), B/op and allocs/op per experiment.
+# One sample (a full pass) takes about 20 s on a 2-vCPU host.
+# Regenerate before and after any change that claims an end-to-end gain
+# and commit the diff.
+bench-e2e:
+	$(GO) test -run '^$$' -bench BenchmarkExperiment -benchtime 1x -count 3 -benchmem -timeout 30m ./internal/engine/ \
+	| $(GO) run ./cmd/benchjson > BENCH_e2e.json
 
 # bench-alloc measures the arena storage layer — fresh vs pooled table
 # builds and the walk-path Touch — and snapshots the result as

@@ -260,6 +260,8 @@ func checkFlags() error {
 	switch {
 	case *entries < 1:
 		return fmt.Errorf("-entries %d: need at least one TLB entry", *entries)
+	case *entries > tlb.MaxEntries:
+		return fmt.Errorf("-entries %d: at most %d TLB entries", *entries, tlb.MaxEntries)
 	case *lineSize < 8 || *lineSize&(*lineSize-1) != 0:
 		return fmt.Errorf("-line %d: need a power of two of at least 8 bytes", *lineSize)
 	case *refs < 0:

@@ -67,10 +67,10 @@ func TestReplicasRejectSubblock(t *testing.T) {
 	}
 }
 
-// TestRejectsBadNumericFlags: an out-of-range -entries, -line or -refs,
-// or a negative -workers or -replicas, is an error reported before any
-// cell runs, never a panic, a silent default, or a wrapped-around
-// total.
+// TestRejectsBadNumericFlags: an out-of-range -entries (below one or
+// above tlb.MaxEntries), -line or -refs, or a negative -workers or
+// -replicas, is an error reported before any cell runs, never a panic,
+// an out-of-memory crash, a silent default, or a wrapped-around total.
 func TestRejectsBadNumericFlags(t *testing.T) {
 	t.Cleanup(func() {
 		flag.Set("entries", "64")
@@ -82,6 +82,8 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 	for _, tc := range []struct{ name, value string }{
 		{"entries", "-1"},
 		{"entries", "0"},
+		{"entries", "300000000"},
+		{"entries", "3000000000"},
 		{"line", "100"},
 		{"line", "4"},
 		{"line", "0"},

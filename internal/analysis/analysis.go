@@ -40,8 +40,11 @@ type Config struct {
 	// sensitive; hotpathalloc flags string-keyed counter maps only
 	// inside them.
 	HotPkgs []string
-	// MergePkgs lists the packages implementing the sharded fan-out/merge
-	// pipeline; shardmerge flags order-dependent merges only inside them.
+	// MergePkgs lists the packages that spread independent replays over
+	// goroutine lanes and merge the lanes' results: the engine's worker
+	// pool and FanSharded cells, and sim's churn and replication cells
+	// (DESIGN.md §10). shardmerge flags order-dependent merges only
+	// inside them.
 	MergePkgs []string
 	// HandleTypes lists the qualified names ("pkgpath.Type") of
 	// generation-tagged arena handle types; handlelife tracks their

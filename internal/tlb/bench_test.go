@@ -98,6 +98,47 @@ func TestCompleteSubblockRefillNoAllocs(t *testing.T) {
 	}
 }
 
+// TestMissPathNoAllocs pins the miss path of every kind at zero
+// allocations: a full TLB thrashed by a working set four times its
+// size, where every Access misses and every Insert evicts a victim and
+// updates the index. Each kind stores its own format: superpage TLBs a
+// 64KB span, partial-subblock TLBs a partial vector, the others base
+// pages.
+func TestMissPathNoAllocs(t *testing.T) {
+	const entries = 64
+	for _, kind := range diffKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			tl := MustNew(Config{Kind: kind, Entries: entries})
+			entryFor := func(i int) pte.Entry {
+				vpn := addr.VPN(i << 4)
+				e := pte.Entry{VPN: vpn, PPN: addr.PPN(vpn) + 1000, Kind: pte.KindBase, Size: addr.Size4K}
+				switch kind {
+				case Superpage:
+					e.Kind, e.Size = pte.KindSuperpage, addr.Size64K
+				case PartialSubblock:
+					e.Kind, e.ValidMask = pte.KindPartial, 0x00ff
+				}
+				return e
+			}
+			for i := 0; i < entries; i++ {
+				tl.Insert(entryFor(i))
+			}
+			i := entries
+			allocs := testing.AllocsPerRun(200, func() {
+				e := entryFor(i % (4 * entries))
+				i++
+				if r := tl.Access(addr.VAOf(e.VPN)); r.Hit {
+					t.Fatal("expected miss")
+				}
+				tl.Insert(e)
+			})
+			if allocs != 0 {
+				t.Fatalf("miss plus refill allocated %.1f times, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestBatchedAccessNoAllocs pins the acceptance criterion that the
 // batched TLB access loop allocates nothing: a resident working set
 // replayed through Access must cost 0 allocs/op in every kind.

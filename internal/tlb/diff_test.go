@@ -74,11 +74,26 @@ func (p *diffPair) insertBlock(vpbn addr.VPBN, es []pte.Entry) {
 	p.ref.InsertBlock(vpbn, es)
 }
 
+func (p *diffPair) invalidate(vpn addr.VPN) {
+	p.fast.Invalidate(vpn)
+	p.ref.Invalidate(vpn)
+}
+
+// opInvalidate is the first invalidate opcode. Opcodes below it decode
+// by opcode % 9 (243 = 27×9, so each of those nine ops keeps an equal
+// share); the thirteen at and above it are single-page shootdowns.
+const opInvalidate = 243
+
 // applyOp drives both TLBs with one decoded operation and reports the
-// first observable divergence. Opcode space: 0-4 access, 5 insert,
-// 6 translate, 7 flush, 8 block prefetch (complete-subblock only,
-// otherwise an insert).
+// first observable divergence. Opcode space, below opInvalidate by
+// opcode % 9: 0-4 access, 5 insert, 6 translate, 7 flush, 8 block
+// prefetch (complete-subblock only, otherwise an insert); opInvalidate
+// and above: invalidate.
 func (p *diffPair) applyOp(opcode uint8, x uint64) error {
+	if opcode >= opInvalidate {
+		p.invalidate(addr.VPN(x & 0x3ff))
+		return p.stateEqual()
+	}
 	switch opcode % 9 {
 	case 5:
 		p.insert(diffEntry(x))
@@ -183,9 +198,7 @@ func TestTLBDifferentialInvalidate(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(entries)*7 + int64(kind)))
 			for op := 0; op < 20000; op++ {
 				if rng.Intn(8) == 0 {
-					vpn := addr.VPN(rng.Intn(0x400))
-					p.fast.Invalidate(vpn)
-					p.ref.Invalidate(vpn)
+					p.invalidate(addr.VPN(rng.Intn(0x400)))
 					err = p.stateEqual()
 				} else {
 					err = p.applyOp(uint8(rng.Intn(256)), rng.Uint64())

@@ -3,8 +3,11 @@ package tlb
 // FuzzTLBIndex feeds arbitrary operation streams through an indexed
 // TLB and its reference model twin (see diff_test.go) and fails
 // on any observable divergence. The input encodes a configuration byte
-// followed by 5-byte operations, so the fuzzer can mutate kind, entry
-// count, block geometry, and the op stream together.
+// followed by 5-byte operations (diffPair.applyOp decodes them:
+// access, insert, translate, flush, block prefetch, and invalidate — the
+// one op that deletes an arbitrary key from the index rather than an LRU
+// victim's), so the fuzzer can mutate kind, entry count, block geometry,
+// and the op stream together.
 
 import (
 	"encoding/binary"

@@ -59,19 +59,26 @@ func (k Kind) String() string {
 type Config struct {
 	// Kind is the organization; default SinglePageSize.
 	Kind Kind
-	// Entries is the entry count; default 64 (§6.1).
+	// Entries is the entry count; default 64 (§6.1), at most
+	// MaxEntries.
 	Entries int
 	// LogSBF is the subblock geometry for the subblock kinds; default 4
 	// (16 subblocks, 64KB blocks).
 	LogSBF uint
 }
 
+// MaxEntries bounds Config.Entries: 64× the largest entry count the
+// paper's sweeps use (1024). Slots are int32 and the index sizes its
+// tables from the entry count, so a bound keeps an absurd request an
+// error rather than an out-of-memory crash.
+const MaxEntries = 1 << 16
+
 func (c *Config) fill() error {
 	if c.Entries == 0 {
 		c.Entries = 64
 	}
-	if c.Entries < 1 {
-		return fmt.Errorf("tlb: entries %d", c.Entries)
+	if c.Entries < 1 || c.Entries > MaxEntries {
+		return fmt.Errorf("tlb: entries %d outside [1, %d]", c.Entries, MaxEntries)
 	}
 	if c.LogSBF == 0 {
 		c.LogSBF = 4
@@ -134,7 +141,7 @@ type TLB struct {
 	// at or above it have never held an entry since the last Flush.
 	// Together they make victim O(1). lru values are unique (at most
 	// one entry's lru is written per tick), so the least recently used
-	// entry is the list head; and since replace only ever fills
+	// entry is the list head; and since claim only ever fills
 	// victim's choice, never-used slots are consumed in ascending index
 	// order.
 	lruPrev, lruNext []int32
@@ -165,7 +172,7 @@ func New(cfg Config) (*TLB, error) {
 	return &TLB{
 		cfg:     cfg,
 		entries: make([]entry, cfg.Entries),
-		idx:     newIndex(cfg.LogSBF),
+		idx:     newIndex(cfg.Entries, cfg.LogSBF),
 		lruPrev: make([]int32, cfg.Entries),
 		lruNext: make([]int32, cfg.Entries),
 		lruHead: -1,
@@ -330,13 +337,27 @@ func (t *TLB) victim() int32 {
 	return t.lruHead
 }
 
-// replace evicts slot v (updating the index) and stores e there.
-func (t *TLB) replace(v int32, e entry) {
-	if t.entries[v].valid {
-		t.idx.remove(&t.entries[v], v, t.entries)
+// claim takes the victim slot for a new entry: it unregisters the
+// slot's old contents from the index and the recency list and returns
+// the slot valid, stamped with the current tick and otherwise zeroed
+// but for its frame array, for the caller to fill in place and then
+// install.
+func (t *TLB) claim() (int32, *entry) {
+	v := t.victim()
+	e := &t.entries[v]
+	if e.valid {
+		t.idx.remove(e, v, t.entries)
 		t.lruUnlink(v)
 	}
-	t.entries[v] = e
+	ppns := e.ppns
+	*e = entry{}
+	e.valid, e.lru, e.ppns = true, t.tick, ppns
+	return v, e
+}
+
+// install registers claimed slot v, now holding its new entry, with
+// the index and makes it the most recently used.
+func (t *TLB) install(v int32) {
 	t.idx.add(&t.entries[v], v)
 	t.lruAppend(v)
 }
@@ -394,16 +415,11 @@ func (t *TLB) Insert(e pte.Entry) {
 			t.lruTouch(s)
 			return
 		}
-		v := t.victim()
-		t.replace(v, entry{
-			valid:  true,
-			format: fCSB,
-			vpbn:   vpbn,
-			mask:   1 << boff,
-			ppns:   t.csbFrames(v),
-			lru:    t.tick,
-		})
-		t.entries[v].ppns[boff] = e.PPN
+		v, blk := t.claim()
+		blk.format, blk.vpbn, blk.mask = fCSB, vpbn, 1<<boff
+		blk.ppns = t.csbFrames(blk.ppns)
+		blk.ppns[boff] = e.PPN
+		t.install(v)
 	}
 }
 
@@ -419,13 +435,11 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 	t.forget()
 	s := t.idx.lookupBlock(vpbn)
 	if s < 0 {
-		s = t.victim()
-		t.replace(s, entry{
-			valid:  true,
-			format: fCSB,
-			vpbn:   vpbn,
-			ppns:   t.csbFrames(s),
-		})
+		var blk *entry
+		s, blk = t.claim()
+		blk.format, blk.vpbn = fCSB, vpbn
+		blk.ppns = t.csbFrames(blk.ppns)
+		t.install(s)
 	}
 	blk := &t.entries[s]
 	blk.lru = t.tick
@@ -441,11 +455,11 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 }
 
 // csbFrames returns the per-subblock frame array for a new
-// complete-subblock entry in slot v: the slot's previous array, cleared,
-// when it has one. Block misses replace victims millions of times per
-// replay, and nothing outside the TLB holds a slot's frames.
-func (t *TLB) csbFrames(v int32) []addr.PPN {
-	ppns := t.entries[v].ppns
+// complete-subblock entry in a claimed slot whose previous array is
+// ppns: that array, cleared, when it has one. Block misses replace
+// victims millions of times per replay, and nothing outside the TLB
+// holds a slot's frames.
+func (t *TLB) csbFrames(ppns []addr.PPN) []addr.PPN {
 	if len(ppns) != 1<<t.cfg.LogSBF {
 		return make([]addr.PPN, 1<<t.cfg.LogSBF)
 	}
@@ -454,15 +468,21 @@ func (t *TLB) csbFrames(v int32) []addr.PPN {
 }
 
 func (t *TLB) insertSingle(vpn addr.VPN, ppn addr.PPN) {
-	t.replace(t.victim(), entry{valid: true, format: fSingle, vpn: vpn, ppn: ppn, lru: t.tick})
+	v, e := t.claim()
+	e.format, e.vpn, e.ppn = fSingle, vpn, ppn
+	t.install(v)
 }
 
 func (t *TLB) insertSpan(base addr.VPN, size addr.Size, basePPN addr.PPN) {
-	t.replace(t.victim(), entry{valid: true, format: fSpan, vpn: base, size: size, ppn: basePPN, lru: t.tick})
+	v, e := t.claim()
+	e.format, e.vpn, e.size, e.ppn = fSpan, base, size, basePPN
+	t.install(v)
 }
 
 func (t *TLB) insertPSB(vpbn addr.VPBN, mask uint16, basePPN addr.PPN) {
-	t.replace(t.victim(), entry{valid: true, format: fPSB, vpbn: vpbn, mask: mask, ppn: basePPN, lru: t.tick})
+	v, e := t.claim()
+	e.format, e.vpbn, e.mask, e.ppn = fPSB, vpbn, mask, basePPN
+	t.install(v)
 }
 
 // Invalidate drops every entry covering vpn — the single-page

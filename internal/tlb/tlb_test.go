@@ -18,6 +18,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{LogSBF: 5}); err == nil {
 		t.Error("LogSBF 5 accepted")
 	}
+	if _, err := New(Config{Entries: MaxEntries}); err != nil {
+		t.Errorf("MaxEntries rejected: %v", err)
+	}
+	for _, n := range []int{MaxEntries + 1, 300_000_000, 1 << 30} {
+		if _, err := New(Config{Entries: n}); err == nil {
+			t.Errorf("entries %d accepted", n)
+		}
+	}
 	tl := MustNew(Config{})
 	if tl.Entries() != 64 || tl.Kind() != SinglePageSize {
 		t.Errorf("defaults: %d entries kind %v", tl.Entries(), tl.Kind())
