@@ -1,20 +1,17 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§6), plus micro-benchmarks of the core operations. The
-// figure benchmarks report the reproduced quantities via b.ReportMetric —
-// normalized page-table sizes for Figures 9/10, average cache lines per
-// TLB miss for Figures 11a–d — so `go test -bench .` regenerates the
-// paper's results alongside Go-level timings.
+// Benchmark harness: micro-benchmarks of the core operations and the
+// service layer, plus the analytic model and the sensitivity sweeps,
+// which report their swept quantities via b.ReportMetric. Whole
+// experiments (every table and figure of §6) are timed by
+// BenchmarkExperiment/<name> in internal/engine, and the paper's claims
+// are pinned by sim's TestVerifyClaimsAllPass.
 package clusterpt_test
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	"clusterpt"
 	"clusterpt/internal/core"
-	"clusterpt/internal/engine"
 	"clusterpt/internal/hashed"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/service"
@@ -22,95 +19,6 @@ import (
 	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
-
-// benchRefs keeps the figure benchmarks quick per iteration; cmd/ptrepro
-// runs the full-length traces.
-const benchRefs = 60_000
-
-func BenchmarkTable1(b *testing.B) {
-	var rows []sim.Table1Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = sim.RunTable1(trace.Profiles(), sim.Table1Config{Refs: benchRefs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Workload == "coral" {
-			b.ReportMetric(r.PctTLBTime, "coral-%tlb")
-		}
-		if r.Workload == "gcc" {
-			b.ReportMetric(r.PctTLBTime, "gcc-%tlb")
-		}
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	var rows []sim.SizeRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = sim.Figure9(trace.Profiles())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var cluSum float64
-	for _, r := range rows {
-		cluSum += r.Normalized["clustered"]
-	}
-	b.ReportMetric(cluSum/float64(len(rows)), "clustered/hashed")
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	var rows []sim.SizeRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = sim.Figure10(trace.Profiles())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var sp, psb float64
-	for _, r := range rows {
-		sp += r.Normalized["clustered+superpage"]
-		psb += r.Normalized["clustered+psb"]
-	}
-	n := float64(len(rows))
-	b.ReportMetric(sp/n, "clustered+sp/hashed")
-	b.ReportMetric(psb/n, "clustered+psb/hashed")
-}
-
-// benchFigure11 runs one figure for a representative workload set and
-// reports the clustered and hashed lines-per-miss.
-func benchFigure11(b *testing.B, f sim.Figure) {
-	b.Helper()
-	workloads := []string{"coral", "ML", "gcc"}
-	var clu, hash float64
-	for i := 0; i < b.N; i++ {
-		clu, hash = 0, 0
-		for _, name := range workloads {
-			p, ok := trace.ProfileByName(name)
-			if !ok {
-				b.Fatalf("no profile %s", name)
-			}
-			row, err := sim.RunFigure11(f, p, sim.AccessConfig{Refs: benchRefs})
-			if err != nil {
-				b.Fatal(err)
-			}
-			clu += row.AvgLines["clustered"]
-			hash += row.AvgLines["hashed"]
-		}
-	}
-	n := float64(len(workloads))
-	b.ReportMetric(clu/n, "clustered-lines/miss")
-	b.ReportMetric(hash/n, "hashed-lines/miss")
-}
-
-func BenchmarkFigure11a(b *testing.B) { benchFigure11(b, sim.Fig11a) }
-func BenchmarkFigure11b(b *testing.B) { benchFigure11(b, sim.Fig11b) }
-func BenchmarkFigure11c(b *testing.B) { benchFigure11(b, sim.Fig11c) }
-func BenchmarkFigure11d(b *testing.B) { benchFigure11(b, sim.Fig11d) }
 
 func BenchmarkTable2Analytic(b *testing.B) {
 	p, _ := trace.ProfileByName("coral")
@@ -168,39 +76,6 @@ func BenchmarkLoadFactorSweep(b *testing.B) {
 		b.ReportMetric(r.Measured, fmt.Sprintf("nodes@b%d", r.Buckets))
 	}
 }
-
-// --- Experiment engine: serial vs parallel cell throughput ---
-
-// benchEngine runs one full experiment through the engine's worker pool
-// and reports cell and reference throughput. The Serial/Parallel pair
-// tracks the engine's fan-out speedup (on a single-core runner the two
-// converge; the refs/s metric is the hardware-independent baseline).
-func benchEngine(b *testing.B, experiment string, workers int) {
-	b.Helper()
-	eng := engine.New(engine.Options{Refs: benchRefs, Workers: workers, Log: io.Discard})
-	ctx := context.Background()
-	var st engine.Stats
-	for i := 0; i < b.N; i++ {
-		results, err := eng.Run(ctx, experiment)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st = results[0].Stats
-		if st.CellsDone != st.Cells {
-			b.Fatalf("%d of %d cells completed", st.CellsDone, st.Cells)
-		}
-	}
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(st.Cells)*float64(b.N)/sec, "cells/s")
-		b.ReportMetric(float64(st.Refs)*float64(b.N)/sec, "refs/s")
-	}
-}
-
-func BenchmarkEngineTable1Serial(b *testing.B)   { benchEngine(b, "table1", 1) }
-func BenchmarkEngineTable1Parallel(b *testing.B) { benchEngine(b, "table1", 8) }
-func BenchmarkEngineFig11aSerial(b *testing.B)   { benchEngine(b, "fig11a", 1) }
-func BenchmarkEngineFig11aParallel(b *testing.B) { benchEngine(b, "fig11a", 8) }
 
 // --- Micro-benchmarks of the core data structure ---
 
@@ -496,18 +371,4 @@ func BenchmarkServiceMapUnmapParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-func BenchmarkVerifyClaims(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		claims, err := sim.VerifyClaims(30_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range claims {
-			if !c.Pass {
-				b.Fatalf("claim %s failed", c.ID)
-			}
-		}
-	}
 }

@@ -264,8 +264,13 @@ func checkFlags() error {
 		return fmt.Errorf("-entries %d: at most %d TLB entries", *entries, tlb.MaxEntries)
 	case *lineSize < 8 || *lineSize&(*lineSize-1) != 0:
 		return fmt.Errorf("-line %d: need a power of two of at least 8 bytes", *lineSize)
-	case *refs < 0:
-		return fmt.Errorf("-refs %d: must not be negative", *refs)
+	case *refs < 1:
+		return fmt.Errorf("-refs %d: need at least one reference", *refs)
+	case *buckets < 1 || !addr.IsPow2(uint64(*buckets)):
+		// core.New and hashed.New would take 0 as their default.
+		return fmt.Errorf("-buckets %d: need a power of two", *buckets)
+	case *sbf < core.MinSubblockFactor || *sbf > core.MaxSubblockFactor || !addr.IsPow2(uint64(*sbf)):
+		return fmt.Errorf("-sbf %d: need a power of two in [%d, %d]", *sbf, core.MinSubblockFactor, core.MaxSubblockFactor)
 	case *workers < 0:
 		return fmt.Errorf("-workers %d: must not be negative", *workers)
 	case *replicas < 0:

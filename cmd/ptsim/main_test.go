@@ -68,14 +68,18 @@ func TestReplicasRejectSubblock(t *testing.T) {
 }
 
 // TestRejectsBadNumericFlags: an out-of-range -entries (below one or
-// above tlb.MaxEntries), -line or -refs, or a negative -workers or
-// -replicas, is an error reported before any cell runs, never a panic,
-// an out-of-memory crash, a silent default, or a wrapped-around total.
+// above tlb.MaxEntries), -line or -refs (below one), a -buckets or -sbf
+// the table constructors would reject or silently default, or a
+// negative -workers or -replicas, is an error reported before any cell
+// runs, never a panic, an out-of-memory crash, a silent default, a NaN
+// report or a wrapped-around total.
 func TestRejectsBadNumericFlags(t *testing.T) {
 	t.Cleanup(func() {
 		flag.Set("entries", "64")
 		flag.Set("line", "256")
 		flag.Set("refs", "400000")
+		flag.Set("buckets", "4096")
+		flag.Set("sbf", "16")
 		flag.Set("workers", "1")
 		flag.Set("replicas", "0")
 	})
@@ -88,6 +92,16 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		{"line", "4"},
 		{"line", "0"},
 		{"refs", "-5"},
+		{"refs", "0"},
+		{"buckets", "0"},
+		{"buckets", "3"},
+		{"buckets", "-4096"},
+		{"buckets", "-9223372036854775808"},
+		{"sbf", "0"},
+		{"sbf", "1"},
+		{"sbf", "3"},
+		{"sbf", "128"},
+		{"sbf", "-16"},
 		{"workers", "-3"},
 		{"replicas", "-3"},
 	} {
@@ -98,8 +112,8 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 				}
 			}()
 			out, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", "single",
-				"refs", "20000", "entries", "64", "line", "256", "replicas", "0", "workers", "1",
-				tc.name, tc.value)
+				"refs", "20000", "entries", "64", "line", "256", "buckets", "4096", "sbf", "16",
+				"replicas", "0", "workers", "1", tc.name, tc.value)
 			if err == nil || !strings.Contains(err.Error(), "-"+tc.name) {
 				t.Fatalf("err = %v, want a -%s error", err, tc.name)
 			}

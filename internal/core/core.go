@@ -37,6 +37,10 @@ const (
 	DefaultSubblockFactor = 16
 	// DefaultBuckets is the paper's base-case hash bucket count.
 	DefaultBuckets = 4096
+	// MinSubblockFactor and MaxSubblockFactor bound the subblock factor,
+	// which must also be a power of two.
+	MinSubblockFactor = 2
+	MaxSubblockFactor = 64
 
 	// headerBytes is the per-node tag + next pointer overhead: eight
 	// bytes each with 64-bit addresses (§2).
@@ -75,8 +79,9 @@ func (c *Config) fill() error {
 	if c.Buckets == 0 {
 		c.Buckets = DefaultBuckets
 	}
-	if c.SubblockFactor < 2 || c.SubblockFactor > 64 || !addr.IsPow2(uint64(c.SubblockFactor)) {
-		return fmt.Errorf("core: subblock factor %d not a power of two in [2, 64]", c.SubblockFactor)
+	if c.SubblockFactor < MinSubblockFactor || c.SubblockFactor > MaxSubblockFactor || !addr.IsPow2(uint64(c.SubblockFactor)) {
+		return fmt.Errorf("core: subblock factor %d not a power of two in [%d, %d]",
+			c.SubblockFactor, MinSubblockFactor, MaxSubblockFactor)
 	}
 	if !addr.IsPow2(uint64(c.Buckets)) {
 		return fmt.Errorf("core: bucket count %d not a power of two", c.Buckets)

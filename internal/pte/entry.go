@@ -49,25 +49,38 @@ func (e Entry) String() string {
 
 // EntryFromWord resolves a mapping word covering vpn into an Entry.
 // For partial-subblock words boff selects the subblock; the caller must
-// have checked ValidAt(boff). blockBase is the first VPN of the page block
-// (used to locate superpage/psb frames).
+// have checked ValidAt(boff).
 func EntryFromWord(w Word, vpn addr.VPN, boff uint64) Entry {
-	e := Entry{VPN: vpn, Attr: w.Attr(), Size: w.Size(), Kind: w.Kind()}
-	switch w.Kind() {
+	// Each kind returns one composite literal, so the entry is written
+	// once rather than field by field over a partly built value.
+	ppn, attr, kind := w.PPN(), w.Attr(), w.Kind()
+	switch kind {
 	case KindSuperpage:
 		// The faulting page's frame is the superpage's first frame plus
 		// the page offset within the superpage.
-		off := uint64(vpn) & (w.Size().Pages() - 1)
-		e.BlockPPN = w.PPN()
-		e.PPN = w.PPN() + addr.PPN(off)
+		size := w.Size()
+		return Entry{VPN: vpn, PPN: ppn + addr.PPN(uint64(vpn)&(size.Pages()-1)), Attr: attr,
+			Size: size, Kind: kind, BlockPPN: ppn}
 	case KindPartial:
-		e.BlockPPN = w.PPN()
-		e.PPN = w.PPNAt(boff)
-		e.ValidMask = w.ValidMask()
-		e.Size = addr.Size4K
+		return Entry{VPN: vpn, PPN: w.PPNAt(boff), Attr: attr, Size: addr.Size4K, Kind: kind,
+			ValidMask: w.ValidMask(), BlockPPN: ppn}
 	default:
-		e.PPN = w.PPN()
-		e.Size = addr.Size4K
+		return Entry{VPN: vpn, PPN: ppn, Attr: attr, Size: addr.Size4K, Kind: kind}
 	}
-	return e
+}
+
+// Word packs the entry back into the mapping word it was resolved from,
+// the inverse of EntryFromWord: EntryFromWord(e.Word(), e.VPN, boff) == e
+// for any entry EntryFromWord returned for that vpn and boff. A
+// partial-subblock word does not record its subblock factor, so the
+// block frame's alignment was the builder's to check.
+func (e Entry) Word() Word {
+	switch e.Kind {
+	case KindSuperpage:
+		return MakeSuperpage(e.BlockPPN, e.Attr, e.Size)
+	case KindPartial:
+		return MakePartial(e.BlockPPN, e.Attr, e.ValidMask, 0)
+	default:
+		return MakeBase(e.PPN, e.Attr)
+	}
 }

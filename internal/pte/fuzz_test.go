@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzPTERoundTrip checks the mapping-word codec both ways: every word a
-// constructor can build must decode back to exactly what went in, and an
+// constructor can build must decode back to exactly what went in, every
+// entry decoded from such a word must pack back into it (Entry.Word), and an
 // arbitrary 64-bit pattern — a torn read, a stray write, a corrupted
 // page-table page — must decode without panicking. The second half is
 // what lets miss handlers read words without locks (§3.1): no bit
@@ -34,6 +35,7 @@ func FuzzPTERoundTrip(f *testing.F) {
 		if e.PPN != ppn || e.Attr != attr {
 			t.Fatalf("base entry: %v", e)
 		}
+		packs(t, w, e, 0)
 
 		// Superpage word: the SZ field survives, and the per-page frame is
 		// the superpage's first frame plus the page offset.
@@ -49,6 +51,7 @@ func FuzzPTERoundTrip(f *testing.F) {
 		if e.PPN != spPPN+addr.PPN(off) || e.BlockPPN != spPPN {
 			t.Fatalf("superpage entry at off %d: %v", off, e)
 		}
+		packs(t, w, e, 0)
 
 		// Partial-subblock word: the valid vector and per-offset frames
 		// survive. logSBF caps at 4 — 16 valid bits in the word (§4.3).
@@ -69,6 +72,8 @@ func FuzzPTERoundTrip(f *testing.F) {
 			if w.PPNAt(boff) != psbPPN+addr.PPN(boff) {
 				t.Fatalf("psb PPNAt(%d) = %#x", boff, uint64(w.PPNAt(boff)))
 			}
+			vpn := addr.VPN(rawPPN<<logSBF | boff)
+			packs(t, w, EntryFromWord(w, vpn, boff), boff)
 		}
 
 		// WithAttr touches only the attribute bits.
@@ -92,4 +97,16 @@ func FuzzPTERoundTrip(f *testing.F) {
 			_ = EntryFromWord(raw, addr.VPN(sel), sel%16)
 		}
 	})
+}
+
+// packs checks that e, decoded from w, packs back into w and decodes
+// again to itself.
+func packs(t *testing.T, w Word, e Entry, boff uint64) {
+	t.Helper()
+	if got := e.Word(); got != w {
+		t.Fatalf("%v packs to %v, want %v", e, got, w)
+	}
+	if got := EntryFromWord(e.Word(), e.VPN, boff); got != e {
+		t.Fatalf("%v does not survive Word: got %v", e, got)
+	}
 }

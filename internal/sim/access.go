@@ -238,7 +238,6 @@ type tailState struct {
 // the PTE array and so never translates its page.
 type linState struct {
 	main  *tlb.TLB
-	table *linear.Table
 	class LineClass
 	// upper is the nested-walk line cost. UpperWalkCost is a constant of
 	// the table's configuration (levels and upper-walk mode), so it is
@@ -321,6 +320,7 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 	// Linear page tables run their own, smaller TLB plus the reserved
 	// page-table-mapping entries (§6.1).
 	var reserved []int
+	var linTables []*linear.Table
 	for i, v := range st.variants {
 		if v.ReservedTLB == 0 {
 			continue
@@ -341,11 +341,11 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		}
 		st.lins = append(st.lins, &linState{
 			main:  main,
-			table: lt,
 			class: v.Class,
 			upper: uint32(lt.UpperWalkCost(0).Lines),
 		})
 		reserved = append(reserved, v.ReservedTLB)
+		linTables = append(linTables, lt)
 	}
 
 	for _, m := range mmus {
@@ -353,14 +353,14 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		if m.PWC && pwcTable != nil {
 			tl.pwc = m.newPWC(pwcTable)
 		}
-		for li, ls := range st.lins {
+		for li := range st.lins {
 			lt := &tl.lins[li]
 			if lt.pt, err = tlb.New(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li]}); err != nil {
 				return nil, err
 			}
 			lt.l2 = m.newL2(cfg.LineModel)
 			if m.PWC {
-				lt.pwc = m.newPWC(ls.table)
+				lt.pwc = m.newPWC(linTables[li])
 			}
 		}
 		st.tails = append(st.tails, tl)
@@ -380,9 +380,7 @@ type procResult struct {
 // runProcess drives one process's trace through the figure's TLBs and
 // page tables under every pipeline in mmus. It first builds the
 // process's walk-cost table, walking each mapped page once per variant,
-// then runs the three replay stages (refStage, walkLane, linLane)
-// inline over the buffered reference stream, charging every miss's
-// variant walks from the table.
+// then replays the trace over it (replayProcess).
 func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, mmus []MMUConfig) (procResult, error) {
 	st, err := newFigureState(f, snap, cfg, mmus)
 	if err != nil {
@@ -392,13 +390,20 @@ func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig
 	if err != nil {
 		return procResult{}, err
 	}
+	return replayProcess(f, st, costs, snap, refs, cfg)
+}
 
-	ref := &refStage{f: f, st: st}
+// replayProcess runs the three replay stages (refStage, walkLane,
+// linLane) inline over the process's buffered reference stream,
+// refilling every TLB and charging every miss from costs: no page table
+// is walked.
+func replayProcess(f Figure, st *figureState, costs *walkTable, snap trace.ProcessSnapshot, refs int, cfg AccessConfig) (procResult, error) {
+	ref := &refStage{f: f, st: st, canon: &costs.canon}
 	walk := newWalkLane(st, costs)
-	lin := newLinLane(f, st)
+	lin := newLinLane(f, st, costs)
 	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
 	var misses uint64
-	err = replay(gen, cfg.Buf, refs, func(va addr.V) error {
+	err := replay(gen, cfg.Buf, refs, func(va addr.V) error {
 		if res := st.refTLB.Access(va); !res.Hit {
 			misses++
 			rec, err := ref.service(va, res)

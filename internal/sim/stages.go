@@ -6,16 +6,20 @@ package sim
 //
 //   - refStage: the shared reference TLB's miss service. It probes
 //     every pipeline's L2 TLB, refills the reference TLB from the
-//     canonical table, fills the L2s and probes the page-walk caches
-//     of the pipelines that walk, and packs each miss's outcome into a
-//     miss record.
+//     canonical table's refill words, fills the L2s and probes the
+//     page-walk caches of the pipelines that walk, and packs each miss's
+//     outcome into a miss record.
 //   - walkLane: the read-only variant walks. It turns a miss record
 //     into per-pipeline line charges, reading the walk's cost from the
 //     process's walk-cost table (walkcost.go): every mapped page was
 //     walked once in every variant before replay, so a miss costs an
 //     indexed read however many pipelines charge it.
 //   - linLane: every linear variant's shared main TLB and per-pipeline
-//     reserved TLB, L2 and nested-walk cache.
+//     reserved TLB, L2 and nested-walk cache, refilled and charged from
+//     the linear build's refill words and walk lines.
+//
+// No stage walks a page table: every walk happened once per page (and
+// Fig11d block) when the walk-cost table was built.
 //
 // walkLane and linLane charge disjoint accounting classes (the
 // non-reserved variants and the linear ones), so runProcess merges
@@ -23,12 +27,9 @@ package sim
 // §10 states the contract.
 
 import (
-	"fmt"
-
 	"clusterpt/internal/addr"
 	"clusterpt/internal/linear"
 	"clusterpt/internal/mmu/walkcache"
-	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
 	"clusterpt/internal/tlb"
 )
@@ -54,15 +55,16 @@ func missL2Hit(t int) addr.V { return 1 << (1 + 2*t) }
 // missPWCHit is pipeline t's page-walk-cache-hit bit in a miss record.
 func missPWCHit(t int) addr.V { return 1 << (2 + 2*t) }
 
-// refStage services the reference TLB's misses. The canonical walk's
-// cost is never charged (only the variant walks are). It looks up every
-// refill entry afresh: memoizing the entries measured +15–31% replay
-// RSS, over the benchmark's bound. Block gathers append into buf,
-// reused from miss to miss.
+// refStage services the reference TLB's misses. It refills from the
+// canonical build's refill words (walkTable.canon), decoding one word
+// per page; the canonical walk's cost is never charged (only the
+// variant walks are). Block refills decode into buf, reused from miss
+// to miss.
 type refStage struct {
-	f   Figure
-	st  *figureState
-	buf []pte.Entry
+	f     Figure
+	st    *figureState
+	canon *refills
+	buf   []pte.Entry
 }
 
 // service handles one reference-TLB miss and returns its miss record.
@@ -91,20 +93,20 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 
 	var e pte.Entry
 	var entries []pte.Entry
+	var err error
 	block := r.f == Fig11d && !res.SubblockMiss
 	if block {
-		// Block miss with prefetch: gather the whole block (§4.4).
+		// Block miss with prefetch: refill the whole block (§4.4).
 		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
-		var err error
-		if entries, err = r.lookupBlock(vpbn); err != nil {
+		if r.buf, _, err = r.canon.appendBlock(r.buf[:0], vpn); err != nil {
 			return 0, err
 		}
+		entries = r.buf
 		st.refTLB.InsertBlock(vpbn, entries)
 		rec |= missBlockBit
 	} else {
-		var found bool
-		if e, _, found = st.canonical.Lookup(va); !found {
-			return 0, fmt.Errorf("canonical table lost vpn %#x", uint64(vpn))
+		if e, _, err = r.canon.page(vpn); err != nil {
+			return 0, err
 		}
 		st.refTLB.Insert(e)
 	}
@@ -126,19 +128,6 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 		}
 	}
 	return rec, nil
-}
-
-func (r *refStage) lookupBlock(vpbn addr.VPBN) ([]pte.Entry, error) {
-	br, ok := r.st.canonical.(pagetable.BlockReader)
-	if !ok {
-		return nil, fmt.Errorf("canonical table cannot prefetch blocks")
-	}
-	var found bool
-	r.buf, _, found = br.AppendBlock(r.buf[:0], vpbn, fig11dBlockLog)
-	if !found {
-		return nil, fmt.Errorf("canonical table lost block %#x", uint64(vpbn))
-	}
-	return r.buf, nil
 }
 
 // addCostElided merges one walk with the walk-cached class's upper
@@ -222,21 +211,23 @@ func (w *walkLane) charge(rec addr.V) error {
 }
 
 // linLane runs every linear variant's TLB state machines over the
-// reference stream. Like refStage, and for the same resident-memory
-// reason, it looks up every refill entry afresh; block gathers append
-// into buf, reused from miss to miss.
+// reference stream. Like refStage it refills from refill words, one
+// store per linear build (walkTable.lins), which also hold the leaf walk
+// lines it charges; block refills decode into buf, reused from miss to
+// miss.
 type linLane struct {
-	f      Figure
-	lins   []*linState
-	tails  []*tailState
-	lines  []lineCounts // per pipeline
-	nested []uint64     // per pipeline
-	buf    []pte.Entry
+	f       Figure
+	lins    []*linState
+	refills []refills // index-aligned with lins
+	tails   []*tailState
+	lines   []lineCounts // per pipeline
+	nested  []uint64     // per pipeline
+	buf     []pte.Entry
 }
 
-func newLinLane(f Figure, st *figureState) *linLane {
+func newLinLane(f Figure, st *figureState, costs *walkTable) *linLane {
 	return &linLane{
-		f: f, lins: st.lins, tails: st.tails,
+		f: f, lins: st.lins, refills: costs.lins, tails: st.tails,
 		lines:  make([]lineCounts, len(st.tails)),
 		nested: make([]uint64, len(st.tails)),
 	}
@@ -287,23 +278,21 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 
 	var e pte.Entry
 	var entries []pte.Entry
-	var c pagetable.WalkCost
+	var lines uint32
+	var err error
 	block := l.f == Fig11d && !res.SubblockMiss
 	if block {
 		// Block miss with prefetch: the block's PTEs are adjacent in the
 		// PTE array.
 		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
-		var found bool
-		l.buf, c, found = ls.table.AppendBlock(l.buf[:0], vpbn, fig11dBlockLog)
-		if !found {
-			return fmt.Errorf("linear lost block %#x", uint64(vpbn))
+		if l.buf, lines, err = l.refills[li].appendBlock(l.buf[:0], vpn); err != nil {
+			return err
 		}
 		entries = l.buf
 		ls.main.InsertBlock(vpbn, entries)
 	} else {
-		var found bool
-		if e, c, found = ls.table.Lookup(va); !found {
-			return fmt.Errorf("linear lost vpn %#x", uint64(vpn))
+		if e, lines, err = l.refills[li].page(vpn); err != nil {
+			return err
 		}
 		ls.main.Insert(e)
 	}
@@ -316,7 +305,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 			continue
 		}
 		lt := &tl.lins[li]
-		l.lines[t][ls.class] += uint64(c.Lines)
+		l.lines[t][ls.class] += uint64(lines)
 		if lt.l2 != nil {
 			if block {
 				for _, be := range entries {

@@ -4,12 +4,16 @@ package sim
 // page-table walk touches, and over immutable built tables that count
 // is a pure function of the page walked and the organization walking
 // it. So before replay starts, runProcess walks every mapped page once
-// in every non-reserved variant — and, under Fig11d, gathers every
-// block holding a mapped page once — and walkLane charges every miss
-// from the resulting dense, read-only table.
+// in every variant — and, under Fig11d, gathers every block holding a
+// mapped page once — and walkLane charges every miss from the resulting
+// dense, read-only table. The same walks pack the refill entries of the
+// tables that refill a TLB (the canonical clustered build and each
+// linear build) into their 8-byte mapping words, so refStage and
+// linLane refill by decoding a word instead of walking per miss.
 
 import (
 	"fmt"
+	"slices"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/pagetable"
@@ -30,10 +34,11 @@ func (lc *lineCounts) addCost(c *walkCost) {
 }
 
 // walkTable holds every mapped page's (and under Fig11d every populated
-// block's) variant walk cost for one process. Slots are laid out region
-// by region over each placed region's full extent, holes included, so a
-// lookup is a scan of the two to four regions and an index. A slot that
-// was never walked stays zero; every walk touches at least one line
+// block's) variant walk cost for one process, plus the refill words of
+// the canonical and linear builds. Slots are laid out region by region
+// over each placed region's full extent, holes included, so a lookup is
+// a scan of the two to four regions and an index. A slot that was never
+// walked stays zero; every walk touches at least one line
 // (newWalkTable checks), so zero reads as "not held".
 type walkTable struct {
 	regions []costRegion
@@ -42,6 +47,10 @@ type walkTable struct {
 	// first names the first walked variant: the one a per-miss walk
 	// would have reported losing a page the table does not hold.
 	first string
+	// canon refills the reference TLB; lins refill each linear variant's
+	// main TLB, index-aligned with figureState.lins.
+	canon refills
+	lins  []refills
 }
 
 // costRegion locates one placed region's slots.
@@ -53,14 +62,43 @@ type costRegion struct {
 	bslot int       // vpbn's slot in walkTable.blocks
 }
 
+// refills is one TLB-refilling table's packed refill store: the mapping
+// word each mapped page's Lookup resolved, in walkTable's page slots.
+// Words, not decoded pte.Entry values (six times the size), keep the
+// store within a few hundred KB per process. pte.Invalid marks a page
+// the table does not map.
+type refills struct {
+	regions []costRegion // walkTable.regions
+	words   []pte.Word
+	// lines and blockLines are a linear build's walk lines per page slot
+	// and per Fig11d block slot, the only walk costs linLane charges. Nil
+	// for the canonical build, whose walk is never charged.
+	lines      []uint32
+	blockLines []uint32
+	// lost names the table in "lost vpn/block" errors.
+	lost string
+}
+
 // fig11dBlockLog is log2 of the Fig11d subblock factor (16): the block
-// every Fig11d prefetch gathers.
+// every Fig11d prefetch gathers. Every Figure 11 table uses the same
+// factor, so it also picks a partial-subblock word's block offset
+// (refillEntry).
 const fig11dBlockLog = 4
 
-// newWalkTable walks the snapshot's mapped pages in every non-reserved
-// variant of st. Under Fig11d it also gathers each block holding a
-// mapped page through AppendBlock, into one reused buffer. A variant
-// that loses a mapped page, or cannot gather its block, fails the build.
+// refillEntry decodes a stored word into vpn's refill entry.
+func refillEntry(w pte.Word, vpn addr.VPN) pte.Entry {
+	return pte.EntryFromWord(w, vpn, uint64(vpn)&(1<<fig11dBlockLog-1))
+}
+
+// newWalkTable walks the snapshot's mapped pages in every variant of
+// st: the non-reserved variants into the walk costs, the linear ones
+// into their refill stores, and the canonical build into both. Under
+// Fig11d it also gathers each block holding a mapped page through
+// AppendBlock. A variant that loses a mapped page, or cannot gather its
+// block, fails the build, and so does a refill store that does not
+// reproduce its table: every stored word must decode back to the page's
+// Lookup entry, and every Fig11d block the words rebuild must equal
+// AppendBlock's gather, entry for entry and in order.
 func newWalkTable(f Figure, st *figureState, snap trace.ProcessSnapshot) (*walkTable, error) {
 	t := &walkTable{regions: make([]costRegion, len(snap.Regions))}
 	var nPages, nBlocks int
@@ -76,49 +114,43 @@ func newWalkTable(f Figure, st *figureState, snap trace.ProcessSnapshot) (*walkT
 	if f == Fig11d {
 		t.blocks = make([]walkCost, nBlocks)
 	}
+	newRefills := func(lost string) refills {
+		return refills{regions: t.regions, words: make([]pte.Word, nPages), lost: lost}
+	}
+	t.canon = newRefills("canonical table")
 
-	var buf []pte.Entry
 	for i, v := range st.variants {
+		table := st.builds[i].Table
 		if v.ReservedTLB > 0 {
+			// Each linear build keeps its own words: under Fig11c its
+			// partial-subblock valid vectors differ from the clustered
+			// build's.
+			s := newRefills("linear")
+			s.lines = make([]uint32, nPages)
+			if t.blocks != nil {
+				s.blockLines = make([]uint32, nBlocks)
+			}
+			err := t.walk(v.Name, table, snap, &s,
+				func(slot int, lines uint32) { s.lines[slot] = lines },
+				func(bslot int, lines uint32) { s.blockLines[bslot] = lines })
+			if err != nil {
+				return nil, err
+			}
+			t.lins = append(t.lins, s)
 			continue
 		}
-		table := st.builds[i].Table
 		if t.first == "" {
 			t.first = v.Name
 		}
-		var br pagetable.BlockReader
-		if t.blocks != nil {
-			var ok bool
-			if br, ok = table.(pagetable.BlockReader); !ok {
-				return nil, fmt.Errorf("variant %q cannot prefetch blocks", v.Name)
-			}
+		var s *refills
+		if table == st.canonical {
+			s = &t.canon
 		}
-		for ri, pr := range snap.Regions {
-			r := &t.regions[ri]
-			gathered := false
-			var last addr.VPBN
-			for _, vpn := range pr.Pages {
-				_, cost, ok := table.Lookup(addr.VAOf(vpn))
-				if !ok {
-					return nil, fmt.Errorf("variant %q lost vpn %#x", v.Name, uint64(vpn))
-				}
-				t.pages[r.slot+int(vpn-r.vpn)][v.Class] += uint32(cost.Lines)
-				if br == nil {
-					continue
-				}
-				// Pages ascend, so each block is gathered once per region.
-				vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
-				if gathered && vpbn == last {
-					continue
-				}
-				gathered, last = true, vpbn
-				var found bool
-				buf, cost, found = br.AppendBlock(buf[:0], vpbn, fig11dBlockLog)
-				if !found {
-					return nil, fmt.Errorf("variant %q lost block %#x", v.Name, uint64(vpbn))
-				}
-				t.blocks[r.bslot+int(vpbn-r.vpbn)][v.Class] += uint32(cost.Lines)
-			}
+		err := t.walk(v.Name, table, snap, s,
+			func(slot int, lines uint32) { t.pages[slot][v.Class] += lines },
+			func(bslot int, lines uint32) { t.blocks[bslot][v.Class] += lines })
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -138,10 +170,75 @@ func newWalkTable(f Figure, st *figureState, snap trace.ProcessSnapshot) (*walkT
 	return t, nil
 }
 
+// walk looks up each of snap's mapped pages in table once, handing page
+// its slot and lines, then under Fig11d gathers each block holding one
+// once, handing block its block slot and lines. With a refill store s it
+// packs every Lookup entry into s and checks that the store refills it
+// back, then that the store rebuilds every gathered block.
+func (t *walkTable) walk(name string, table pagetable.PageTable, snap trace.ProcessSnapshot, s *refills,
+	page, block func(slot int, lines uint32)) error {
+	for ri, pr := range snap.Regions {
+		r := &t.regions[ri]
+		for _, vpn := range pr.Pages {
+			e, cost, ok := table.Lookup(addr.VAOf(vpn))
+			if !ok {
+				return fmt.Errorf("variant %q lost vpn %#x", name, uint64(vpn))
+			}
+			slot := r.slot + int(vpn-r.vpn)
+			page(slot, uint32(cost.Lines))
+			if s == nil {
+				continue
+			}
+			s.words[slot] = e.Word()
+			if got, _, err := s.page(vpn); err != nil || got != e {
+				return fmt.Errorf("variant %q: vpn %#x: word %v refills %v (%v), not its Lookup entry %v",
+					name, uint64(vpn), s.words[slot], got, err, e)
+			}
+		}
+	}
+	if t.blocks == nil {
+		return nil
+	}
+	br, ok := table.(pagetable.BlockReader)
+	if !ok {
+		return fmt.Errorf("variant %q cannot prefetch blocks", name)
+	}
+	var gathered, rebuilt []pte.Entry
+	for ri, pr := range snap.Regions {
+		r := &t.regions[ri]
+		have := false
+		var last addr.VPBN
+		for _, vpn := range pr.Pages {
+			// Pages ascend, so each block is gathered once per region.
+			vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
+			if have && vpbn == last {
+				continue
+			}
+			have, last = true, vpbn
+			var cost pagetable.WalkCost
+			var found bool
+			gathered, cost, found = br.AppendBlock(gathered[:0], vpbn, fig11dBlockLog)
+			if !found {
+				return fmt.Errorf("variant %q lost block %#x", name, uint64(vpbn))
+			}
+			block(r.bslot+int(vpbn-r.vpbn), uint32(cost.Lines))
+			if s == nil {
+				continue
+			}
+			var err error
+			if rebuilt, _, err = s.appendBlock(rebuilt[:0], vpn); err != nil || !slices.Equal(rebuilt, gathered) {
+				return fmt.Errorf("variant %q: block %#x: words rebuild %v (%v), AppendBlock gathered %v",
+					name, uint64(vpbn), rebuilt, err, gathered)
+			}
+		}
+	}
+	return nil
+}
+
 // region returns the region whose extent holds vpn, or nil.
-func (t *walkTable) region(vpn addr.VPN) *costRegion {
-	for i := range t.regions {
-		if r := &t.regions[i]; uint64(vpn-r.vpn) < r.pages {
+func region(regions []costRegion, vpn addr.VPN) *costRegion {
+	for i := range regions {
+		if r := &regions[i]; uint64(vpn-r.vpn) < r.pages {
 			return r
 		}
 	}
@@ -156,7 +253,7 @@ func (t *walkTable) cost(rec addr.V) (*walkCost, error) {
 	vpn := addr.VPNOf(rec)
 	vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
 	block := rec&missBlockBit != 0
-	if r := t.region(vpn); r != nil {
+	if r := region(t.regions, vpn); r != nil {
 		c := &t.pages[r.slot+int(vpn-r.vpn)]
 		if block {
 			c = &t.blocks[r.bslot+int(vpbn-r.vpbn)]
@@ -169,4 +266,59 @@ func (t *walkTable) cost(rec addr.V) (*walkCost, error) {
 		return nil, fmt.Errorf("variant %q lost block %#x", t.first, uint64(vpbn))
 	}
 	return nil, fmt.Errorf("variant %q lost vpn %#x", t.first, uint64(vpn))
+}
+
+// page returns vpn's refill entry and, for a linear store, its walk's
+// lines. A page the table does not map is an error, as its Lookup was.
+func (s *refills) page(vpn addr.VPN) (pte.Entry, uint32, error) {
+	if r := region(s.regions, vpn); r != nil {
+		slot := r.slot + int(vpn-r.vpn)
+		if w := s.words[slot]; w != pte.Invalid {
+			var lines uint32
+			if s.lines != nil {
+				lines = s.lines[slot]
+			}
+			return refillEntry(w, vpn), lines, nil
+		}
+	}
+	return pte.Entry{}, 0, fmt.Errorf("%s lost vpn %#x", s.lost, uint64(vpn))
+}
+
+// appendBlock appends the refill entries of every mapped page in the
+// Fig11d block holding vpn, in ascending page order as AppendBlock
+// gathers them, and returns, for a linear store, the gather's lines. The
+// block is resolved against vpn's region once; only a block crossing
+// that region's edge resolves page by page. A block with no mapped page
+// is an error, as its gather was.
+func (s *refills) appendBlock(dst []pte.Entry, vpn addr.VPN) ([]pte.Entry, uint32, error) {
+	const sbf = 1 << fig11dBlockLog
+	vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
+	first := addr.BlockJoin(vpbn, 0, fig11dBlockLog)
+	n := len(dst)
+	var lines uint32
+	if r := region(s.regions, vpn); r != nil {
+		if s.blockLines != nil {
+			lines = s.blockLines[r.bslot+int(vpbn-r.vpbn)]
+		}
+		if off := uint64(first - r.vpn); first >= r.vpn && off+sbf <= r.pages {
+			for i, w := range s.words[r.slot+int(off):][:sbf] {
+				if w != pte.Invalid {
+					dst = append(dst, refillEntry(w, first+addr.VPN(i)))
+				}
+			}
+		} else {
+			for i := addr.VPN(0); i < sbf; i++ {
+				p := first + i
+				if pr := region(s.regions, p); pr != nil {
+					if w := s.words[pr.slot+int(p-pr.vpn)]; w != pte.Invalid {
+						dst = append(dst, refillEntry(w, p))
+					}
+				}
+			}
+		}
+	}
+	if len(dst) == n {
+		return dst, 0, fmt.Errorf("%s lost block %#x", s.lost, uint64(vpbn))
+	}
+	return dst, lines, nil
 }

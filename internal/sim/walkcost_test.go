@@ -3,10 +3,13 @@ package sim
 // The walk-cost table against the per-miss walks it replaced. refWalks
 // is that replaced code, kept here as the test-only reference: it
 // walks every non-reserved variant for one page or block on every
-// call, exactly as the walk lanes once did per miss.
+// call, exactly as the walk lanes once did per miss. The refill stores
+// are checked against the Lookup and AppendBlock calls refStage and
+// linLane once made per miss.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,9 +76,10 @@ func (w *refWalks) walkBlock(vpbn addr.VPBN, c *walkCost) error {
 // TestWalkCostTableMatchesPerMissWalks pins the table slot for slot
 // against the reference walks, class by class, for every figure over a
 // multi-process workload (gcc), one whose extents exceed their mapped
-// pages (pthor), and the kernel snapshot. Building the table must walk
-// each mapped page exactly once per variant, and pages or blocks it
-// does not hold must stay errors.
+// pages (pthor), and the kernel snapshot. Building the table must look
+// up each mapped page exactly once per variant, linear included, and
+// replaying the whole process afterwards must look up nothing more;
+// pages or blocks the table does not hold must stay errors.
 func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
 	for _, name := range []string{"gcc", "pthor", "kernel"} {
 		p := profile(t, name)
@@ -94,19 +98,30 @@ func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
 					t.Fatal(err)
 				}
 				ref := newRefWalks(st)
-				before := make([]uint64, len(ref.walks))
-				for i, v := range ref.walks {
-					before[i] = v.table.Stats().Lookups
+				before := make([]uint64, len(st.builds))
+				for i, b := range st.builds {
+					before[i] = b.Table.Stats().Lookups
+				}
+				checkLookups := func(when string) {
+					t.Helper()
+					for i, b := range st.builds {
+						if got := b.Table.Stats().Lookups - before[i]; got != snap.MappedPages() {
+							t.Errorf("%s: %s ran %d %s lookups, want one per mapped page (%d)",
+								label, when, got, st.variants[i].Name, snap.MappedPages())
+						}
+					}
 				}
 				costs, err := newWalkTable(f, st, snap)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				for i, v := range ref.walks {
-					if got := v.table.Stats().Lookups - before[i]; got != snap.MappedPages() {
-						t.Errorf("%s: building the table ran %d %s lookups, want one per mapped page (%d)",
-							label, got, v.name, snap.MappedPages())
+				checkLookups("building the table")
+				if !p.SnapshotOnly {
+					res, err := replayProcess(f, st, costs, snap, 20_000, cfg)
+					if err != nil || res.misses == 0 {
+						t.Fatalf("%s: replay: %d misses, %v", label, res.misses, err)
 					}
+					checkLookups("building the table and replaying")
 				}
 
 				mapped := make(map[addr.VPN]bool)
@@ -153,7 +168,7 @@ func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
 					}
 				}
 				outside := addr.VAOf(0)
-				if costs.region(0) != nil {
+				if region(costs.regions, 0) != nil {
 					t.Fatalf("%s: a region holds vpn 0", label)
 				}
 				notFound(outside, "lost vpn")
@@ -198,4 +213,101 @@ func TestWalkCostTableLostPage(t *testing.T) {
 			t.Errorf("%v: building over an unmapped page: err = %v, want a lost vpn error", f, err)
 		}
 	}
+}
+
+// TestRefillWordsMatchLookups pins both refill stores, the canonical
+// build's and the linear build's, against their tables for every figure
+// over gcc, pthor and kernel: every mapped page refills its Lookup entry
+// (and, for linear, charges its Lookup's lines), and every Fig11d block
+// rebuilds AppendBlock's gather entry for entry and in order. A hole
+// page and VPN 0 are not found.
+func TestRefillWordsMatchLookups(t *testing.T) {
+	for _, name := range []string{"gcc", "pthor", "kernel"} {
+		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
+			for _, snap := range profile(t, name).Snapshot() {
+				label := fmt.Sprintf("%s/%s/%v", name, snap.Name, f)
+				cfg := AccessConfig{}
+				cfg.fill()
+				st, err := newFigureState(f, snap, cfg, []MMUConfig{{}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				costs, err := newWalkTable(f, st, snap)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(costs.lins) != len(st.lins) || len(st.lins) == 0 {
+					t.Fatalf("%s: %d linear stores for %d linear variants", label, len(costs.lins), len(st.lins))
+				}
+				stores := []*refills{&costs.canon}
+				tables := []pagetable.PageTable{st.canonical}
+				for i, v := range st.variants {
+					if v.ReservedTLB > 0 {
+						stores = append(stores, &costs.lins[len(tables)-1])
+						tables = append(tables, st.builds[i].Table)
+					}
+				}
+				for i, s := range stores {
+					checkRefills(t, label+"/"+s.lost, f, snap, costs, s, tables[i])
+				}
+			}
+		}
+	}
+}
+
+// checkRefills compares one refill store with its table.
+func checkRefills(t *testing.T, label string, f Figure, snap trace.ProcessSnapshot, costs *walkTable, s *refills, table pagetable.PageTable) {
+	t.Helper()
+	linear := s.lines != nil
+	mapped := make(map[addr.VPN]bool)
+	var gathered, rebuilt []pte.Entry
+	for _, vpn := range snap.AllPages() {
+		mapped[vpn] = true
+		want, cost, ok := table.Lookup(addr.VAOf(vpn))
+		if !ok {
+			t.Fatalf("%s: table lost vpn %#x", label, uint64(vpn))
+		}
+		got, lines, err := s.page(vpn)
+		if err != nil || got != want {
+			t.Fatalf("%s: vpn %#x refills %v (%v), Lookup %v", label, uint64(vpn), got, err, want)
+		}
+		if linear && lines != uint32(cost.Lines) {
+			t.Fatalf("%s: vpn %#x charges %d lines, Lookup %d", label, uint64(vpn), lines, cost.Lines)
+		}
+		if f != Fig11d {
+			continue
+		}
+		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
+		gathered, cost, ok = table.(pagetable.BlockReader).AppendBlock(gathered[:0], vpbn, fig11dBlockLog)
+		if !ok {
+			t.Fatalf("%s: table lost block %#x", label, uint64(vpbn))
+		}
+		rebuilt, lines, err = s.appendBlock(rebuilt[:0], vpn)
+		if err != nil || !slices.Equal(rebuilt, gathered) {
+			t.Fatalf("%s: block %#x rebuilds %v (%v), AppendBlock %v", label, uint64(vpbn), rebuilt, err, gathered)
+		}
+		if linear && lines != uint32(cost.Lines) {
+			t.Fatalf("%s: block %#x charges %d lines, AppendBlock %d", label, uint64(vpbn), lines, cost.Lines)
+		}
+	}
+
+	notFound := func(err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), s.lost+" "+want) {
+			t.Errorf("%s: got %v, want a %q error", label, err, s.lost+" "+want)
+		}
+	}
+	for _, r := range costs.regions {
+		for off := uint64(0); off < r.pages; off++ {
+			if vpn := r.vpn + addr.VPN(off); !mapped[vpn] {
+				_, _, err := s.page(vpn)
+				notFound(err, "lost vpn")
+				break
+			}
+		}
+	}
+	_, _, err := s.page(0)
+	notFound(err, "lost vpn")
+	_, _, err = s.appendBlock(nil, 0)
+	notFound(err, "lost block")
 }
