@@ -31,13 +31,10 @@ func TestGoldenOutput(t *testing.T) {
 
 	var buf bytes.Buffer
 	for i, exp := range []string{"table1", "fig9", "fig10", "table2", "lines", "churn", "hierarchy", "replication"} {
-		// Vary the worker count, shard count and replica live cap as we
-		// go: the golden file is also a determinism check, so neither cell
-		// scheduling, intra-cell lane grants, nor the replication
-		// experiment's concurrency cap may leak into the bytes.
+		// Vary the worker count as we go: the golden file is also a
+		// determinism check, so cell scheduling may not leak into the
+		// bytes.
 		*workersFlag = 1 + i%4
-		*shardsFlag = 1 + (i*3)%8
-		*replicasFlag = i % 3 // 0 (uncapped), 1 (serial), 2
 		if err := run(context.Background(), &buf, exp); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
@@ -93,7 +90,7 @@ func firstDiffWindow(a, b []byte) []byte {
 // covers only through the hierarchy experiment's Figure 11a tables.
 // The pipeline identity test compares fused with separate replays, so
 // it cannot notice both drifting together; this file can. The worker
-// and shard counts vary from run to run as in TestGoldenOutput.
+// count varies from run to run as in TestGoldenOutput.
 //
 // Regenerate after an intentional change with:
 //
@@ -110,7 +107,6 @@ func TestGoldenOutputMMU(t *testing.T) {
 		*mmuFlag = mode
 		for _, exp := range []string{"fig11a", "fig11b", "fig11c", "fig11d"} {
 			*workersFlag = 1 + i%4
-			*shardsFlag = 1 + (i*3)%8
 			i++
 			fmt.Fprintf(&buf, "== -mmu %s -exp %s\n", mode, exp)
 			if err := run(context.Background(), &buf, exp); err != nil {

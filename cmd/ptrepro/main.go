@@ -6,15 +6,12 @@
 //
 // Every experiment resolves through the engine registry
 // (internal/engine): the engine fans each experiment's cells over a
-// bounded worker pool and merges results deterministically, and -shards
-// lets each churn and replication cell spread its independent replays
-// over intra-cell lanes carved from the same worker budget, so output
-// is byte-identical at any (-workers, -shards) combination for a fixed
-// -seed/-refs.
+// bounded worker pool and merges results by index, so output is
+// byte-identical at any -workers for a fixed -seed/-refs.
 //
 // Usage:
 //
-//	ptrepro [-exp all|<name>] [-refs N] [-seed S] [-workers N] [-shards K] [-replicas R] [-mmu flat|l2|l2+pwc] [-csv] [-v]
+//	ptrepro [-exp all|<name>] [-refs N] [-seed S] [-workers N] [-mmu flat|l2|l2+pwc] [-csv] [-v]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	ptrepro -list
 //
@@ -38,18 +35,16 @@ import (
 )
 
 var (
-	expFlag      = flag.String("exp", "all", "experiment to run (see -list)")
-	refsFlag     = flag.Int("refs", 400_000, "references per workload trace")
-	seedFlag     = flag.Uint64("seed", 1, "base trace seed (cells derive independent streams)")
-	csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	workersFlag  = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent experiment cells")
-	shardsFlag   = flag.Int("shards", 1, "intra-cell lanes for the churn and replication cells' independent replays (shares the -workers budget; results identical at any value)")
-	replicasFlag = flag.Int("replicas", 0, "cap on concurrently live replicated point replays in the replication experiment (0 = lanes decide; results identical at any value)")
-	mmuFlag      = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
-	verboseFlag  = flag.Bool("v", false, "log per-experiment progress to stderr")
-	listFlag     = flag.Bool("list", false, "list registered experiments and exit")
-	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile (labelled by experiment and cell) to this file")
-	memProfile   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
+	expFlag     = flag.String("exp", "all", "experiment to run (see -list)")
+	refsFlag    = flag.Int("refs", 400_000, "references per workload trace")
+	seedFlag    = flag.Uint64("seed", 1, "base trace seed (cells derive independent streams)")
+	csvFlag     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	workersFlag = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent experiment cells")
+	mmuFlag     = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
+	verboseFlag = flag.Bool("v", false, "log per-experiment progress to stderr")
+	listFlag    = flag.Bool("list", false, "list registered experiments and exit")
+	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile (labelled by experiment and cell) to this file")
+	memProfile  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 )
 
 func main() {
@@ -70,20 +65,17 @@ func main() {
 	}
 }
 
-// checkFlags rejects flag values no experiment can honor.
+// checkFlags rejects flag values no experiment can honor, and the zero
+// -refs and -seed the engine would silently replace with its defaults.
+// -workers 0 means GOMAXPROCS.
 func checkFlags() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"refs", *refsFlag},
-		{"workers", *workersFlag},
-		{"shards", *shardsFlag},
-		{"replicas", *replicasFlag},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("-%s %d: must not be negative", f.name, f.v)
-		}
+	switch {
+	case *refsFlag < 1:
+		return fmt.Errorf("-refs %d: need at least one reference", *refsFlag)
+	case *seedFlag == 0:
+		return fmt.Errorf("-seed 0: need a nonzero seed (0 would silently run seed 1)")
+	case *workersFlag < 0:
+		return fmt.Errorf("-workers %d: must not be negative", *workersFlag)
 	}
 	_, err := sim.ParseMMU(*mmuFlag)
 	return err
@@ -94,13 +86,11 @@ func newEngine() *engine.Engine {
 	// (flat) value by reproducing the pre-hierarchy output byte for byte.
 	mmu, _ := sim.ParseMMU(*mmuFlag)
 	return engine.New(engine.Options{
-		Refs:     *refsFlag,
-		Seed:     *seedFlag,
-		Workers:  *workersFlag,
-		Shards:   *shardsFlag,
-		Replicas: *replicasFlag,
-		MMU:      mmu,
-		Verbose:  *verboseFlag,
+		Refs:    *refsFlag,
+		Seed:    *seedFlag,
+		Workers: *workersFlag,
+		MMU:     mmu,
+		Verbose: *verboseFlag,
 	})
 }
 

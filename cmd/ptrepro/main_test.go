@@ -31,30 +31,26 @@ func TestRunAllExperiments(t *testing.T) {
 	}
 }
 
-// TestReplicationGridIdentity holds the replication experiment to its
-// acceptance contract: rendered bytes are identical at every
-// (-workers, -shards, -replicas) combination.
+// TestReplicationGridIdentity holds the replication experiment, whose
+// 64 point cells are the engine's largest fan-out, to its acceptance
+// contract: rendered bytes are identical at every -workers.
 func TestReplicationGridIdentity(t *testing.T) {
 	*refsFlag = 4_000
 	*seedFlag = 1
 	*csvFlag = false
-	grid := []struct{ workers, shards, replicas int }{
-		{1, 1, 0}, {8, 1, 0}, {3, 8, 0}, {4, 4, 1}, {2, 6, 2}, {8, 8, 16},
-	}
 	var want []byte
-	for _, g := range grid {
-		*workersFlag, *shardsFlag, *replicasFlag = g.workers, g.shards, g.replicas
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		*workersFlag = workers
 		var buf bytes.Buffer
 		if err := run(context.Background(), &buf, "replication"); err != nil {
-			t.Fatalf("(%d,%d,%d): %v", g.workers, g.shards, g.replicas, err)
+			t.Fatalf("-workers %d: %v", workers, err)
 		}
 		if want == nil {
 			want = buf.Bytes()
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("output at (-workers=%d -shards=%d -replicas=%d) diverged from (-workers=1 -shards=1 -replicas=0)",
-				g.workers, g.shards, g.replicas)
+			t.Errorf("output at -workers %d diverged from -workers 1", workers)
 		}
 	}
 }
@@ -73,32 +69,34 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestCheckFlags: a negative -refs, -workers, -shards or -replicas and
-// an unknown -mmu are flag errors, caught before any experiment runs.
+// TestCheckFlags: a -refs below one, a zero -seed, a negative -workers
+// and an unknown -mmu are flag errors, caught before any experiment
+// runs; -workers 0 means GOMAXPROCS.
 func TestCheckFlags(t *testing.T) {
-	workers, shards, replicas := *workersFlag, *shardsFlag, *replicasFlag
+	workers := *workersFlag
 	defer func() {
-		*refsFlag, *mmuFlag = 400_000, "flat"
-		*workersFlag, *shardsFlag, *replicasFlag = workers, shards, replicas
+		*refsFlag, *seedFlag, *mmuFlag = 400_000, 1, "flat"
+		*workersFlag = workers
 	}()
 	for _, tc := range []struct {
-		refs, workers, shards, replicas int
-		mmu                             string
-		ok                              bool
+		refs    int
+		seed    uint64
+		workers int
+		mmu     string
+		ok      bool
 	}{
-		{400_000, 1, 1, 0, "flat", true},
-		{0, 0, 0, 0, "l2+pwc", true},
-		{-5, 1, 1, 0, "flat", false},
-		{400_000, 1, 1, 0, "l3", false},
-		{400_000, -3, 1, 0, "flat", false},
-		{400_000, 1, -3, 0, "flat", false},
-		{400_000, 1, 1, -3, "flat", false},
+		{400_000, 1, 1, "flat", true},
+		{1, 2, 0, "l2+pwc", true},
+		{0, 1, 1, "flat", false},
+		{-5, 1, 1, "flat", false},
+		{400_000, 0, 1, "flat", false},
+		{400_000, 1, 1, "l3", false},
+		{400_000, 1, -3, "flat", false},
 	} {
-		*refsFlag, *mmuFlag = tc.refs, tc.mmu
-		*workersFlag, *shardsFlag, *replicasFlag = tc.workers, tc.shards, tc.replicas
+		*refsFlag, *seedFlag, *workersFlag, *mmuFlag = tc.refs, tc.seed, tc.workers, tc.mmu
 		if err := checkFlags(); (err == nil) != tc.ok {
-			t.Errorf("-refs %d -workers %d -shards %d -replicas %d -mmu %s: err = %v, want ok=%v",
-				tc.refs, tc.workers, tc.shards, tc.replicas, tc.mmu, err, tc.ok)
+			t.Errorf("-refs %d -seed %d -workers %d -mmu %s: err = %v, want ok=%v",
+				tc.refs, tc.seed, tc.workers, tc.mmu, err, tc.ok)
 		}
 	}
 }
@@ -120,7 +118,7 @@ func TestCPUProfileFlag(t *testing.T) {
 	*refsFlag = 20_000
 	*seedFlag = 1
 	*csvFlag = false
-	*workersFlag, *shardsFlag = 2, 2
+	*workersFlag = 2
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
 	defer func() { *cpuProfile, *memProfile = "", "" }()

@@ -275,6 +275,8 @@ func checkFlags() error {
 		return fmt.Errorf("-workers %d: must not be negative", *workers)
 	case *replicas < 0:
 		return fmt.Errorf("-replicas %d: must not be negative", *replicas)
+	case *replicas > memcost.DefaultNodes:
+		return fmt.Errorf("-replicas %d exceeds the %d-node NUMA model", *replicas, memcost.DefaultNodes)
 	}
 	return nil
 }
@@ -302,9 +304,6 @@ func run(ctx context.Context, w io.Writer) error {
 		return err
 	}
 	if *replicas > 0 {
-		if *replicas > memcost.DefaultNodes {
-			return fmt.Errorf("-replicas %d exceeds the %d-node NUMA model", *replicas, memcost.DefaultNodes)
-		}
 		if kind == tlb.CompleteSubblock {
 			return fmt.Errorf("-replicas does not compose with -tlb subblock (block prefetch bypasses the service read path)")
 		}

@@ -69,10 +69,10 @@ func TestReplicasRejectSubblock(t *testing.T) {
 
 // TestRejectsBadNumericFlags: an out-of-range -entries (below one or
 // above tlb.MaxEntries), -line or -refs (below one), a -buckets or -sbf
-// the table constructors would reject or silently default, or a
-// negative -workers or -replicas, is an error reported before any cell
-// runs, never a panic, an out-of-memory crash, a silent default, a NaN
-// report or a wrapped-around total.
+// the table constructors would reject or silently default, a negative
+// -workers, or a -replicas outside [0, memcost.DefaultNodes], is an
+// error reported before any cell runs, never a panic, an out-of-memory
+// crash, a silent default, a NaN report or a wrapped-around total.
 func TestRejectsBadNumericFlags(t *testing.T) {
 	t.Cleanup(func() {
 		flag.Set("entries", "64")
@@ -104,6 +104,7 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		{"sbf", "-16"},
 		{"workers", "-3"},
 		{"replicas", "-3"},
+		{"replicas", "9"},
 	} {
 		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
 			defer func() {

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"clusterpt/internal/report"
@@ -27,24 +28,43 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	if err := checkFlags(); err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(2)
+	}
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// checkFlags rejects flag values tracegen cannot honor.
+func checkFlags() error {
+	if *traceN < 0 {
+		return fmt.Errorf("-trace %d: must not be negative", *traceN)
+	}
+	return nil
+}
+
+// run prints the selected listing or description to w. It checks the
+// flags itself, so a caller that skips main still gets the flag errors.
+func run(w io.Writer) error {
+	if err := checkFlags(); err != nil {
+		return err
+	}
 	if *workload == "" {
-		return list()
+		list(w)
+		return nil
 	}
 	p, ok := trace.ProfileByName(*workload)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", *workload)
 	}
-	return describe(p)
+	describe(w, p)
+	return nil
 }
 
-func list() error {
+func list(w io.Writer) {
 	t := report.NewTable("Workload profiles (§6.2 + kernel)",
 		"workload", "processes", "mapped pages", "Table-1 target", "hashed KB", "blocks(16)", "pages/block", "full blocks")
 	for _, p := range trace.Profiles() {
@@ -57,8 +77,7 @@ func list() error {
 			fmt.Sprintf("%.0f", float64(mapped*24)/1024),
 			st.Blocks, fmt.Sprintf("%.1f", st.PagesPerBlock), st.FullBlocks)
 	}
-	t.Render(os.Stdout)
-	return nil
+	t.Render(w)
 }
 
 func burst(p trace.Profile) sim.BurstStats {
@@ -75,7 +94,7 @@ func burst(p trace.Profile) sim.BurstStats {
 	return total
 }
 
-func describe(p trace.Profile) error {
+func describe(w io.Writer, p trace.Profile) {
 	for _, s := range p.Snapshot() {
 		t := report.NewTable(fmt.Sprintf("%s / %s (share %.0f%%)", p.Name, s.Name, s.RefShare*100),
 			"region", "base", "extent pages", "mapped", "density", "pattern", "weight")
@@ -84,16 +103,15 @@ func describe(p trace.Profile) error {
 				fmt.Sprintf("%.2f", r.Spec.Density), r.Spec.Pattern.String(),
 				fmt.Sprintf("%.2f", r.Spec.Weight))
 		}
-		t.Render(os.Stdout)
+		t.Render(w)
 
 		if *traceN > 0 {
 			gen := trace.NewGenerator(s, *seed*31+1)
-			fmt.Printf("first %d references:\n", *traceN)
+			fmt.Fprintf(w, "first %d references:\n", *traceN)
 			for i := 0; i < *traceN; i++ {
-				fmt.Printf("  %s\n", gen.Next())
+				fmt.Fprintf(w, "  %s\n", gen.Next())
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	return nil
 }

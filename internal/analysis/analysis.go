@@ -40,11 +40,10 @@ type Config struct {
 	// sensitive; hotpathalloc flags string-keyed counter maps only
 	// inside them.
 	HotPkgs []string
-	// MergePkgs lists the packages that spread independent replays over
-	// goroutine lanes and merge the lanes' results: the engine's worker
-	// pool and FanSharded cells, and sim's churn and replication cells
-	// (DESIGN.md §10). shardmerge flags order-dependent merges only
-	// inside them.
+	// MergePkgs lists the packages that run independent replays
+	// concurrently and merge their results: the engine's worker pool
+	// (DESIGN.md §10), and sim, whose replays the pool runs. shardmerge
+	// flags order-dependent merges only inside them.
 	MergePkgs []string
 	// HandleTypes lists the qualified names ("pkgpath.Type") of
 	// generation-tagged arena handle types; handlelife tracks their
@@ -101,7 +100,6 @@ func DefaultConfig(module string) Config {
 			p("internal/report") + ".Table.RenderCSV",
 			p("internal/engine") + ".Fan",
 			p("internal/engine") + ".FanWith",
-			p("internal/engine") + ".FanSharded",
 		},
 	}
 }

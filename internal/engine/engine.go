@@ -169,24 +169,14 @@ type Options struct {
 	Seed uint64
 	// Workers bounds concurrent cells (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the intra-cell lane budget of the cells scheduled by
-	// FanSharded — the churn and replication experiments, whose cells
-	// hold several independent replays: each cell may spread them over
-	// up to this many goroutine lanes, carved out of the same Workers
-	// budget rather than added to it. 0 or 1 runs every cell on one
-	// lane. Results are byte-identical at every value.
+	// Shards is read by nothing: it remains only because
+	// bench/workload.go sets it, and goes when that file stops.
 	Shards int
 	// MMU selects the translation hierarchy (-mmu flag) the replay
 	// experiments model around each simulated TLB. The zero value is the
 	// paper's flat single level; every previously rendered byte is
 	// identical under it.
 	MMU sim.MMUConfig
-	// Replicas caps concurrently replaying replication points inside
-	// each replication-experiment cell (each point holds up to eight
-	// replica tables, so the cap bounds peak replica memory). 0 leaves
-	// the lane grant in charge. Like Workers and Shards it is an
-	// execution knob: results are byte-identical at every value.
-	Replicas int
 	// Verbose logs per-experiment progress lines to Log.
 	Verbose bool
 	// Log receives progress output (nil = os.Stderr).
@@ -206,9 +196,6 @@ func (o *Options) fill() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
 	}
 	if o.Log == nil {
 		o.Log = os.Stderr

@@ -138,58 +138,35 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossShards pins the nested-parallelism guarantee:
-// the (-workers, -shards) grid renders byte-identical tables. The
-// experiments covered are a Figure 11 graph (fig11a), the partition
-// what-if, the churn time series (a FanSharded consumer, whose cells
-// spread their per-organization replays over lanes), and the
-// multi-level hierarchy replay; full "all" coverage at shards>1 rides
-// on TestDeterministicAcrossWorkers.
-func TestDeterministicAcrossShards(t *testing.T) {
-	run := func(workers, shards int) []byte {
+// TestDeterministicAcrossWorkerCounts is TestDeterministicAcrossWorkers
+// in short mode: a Figure 11 graph (fig11a), the partition what-if, the
+// churn time series (one cell per pair and organization), the
+// replication sweep (one cell per point) and the multi-level hierarchy
+// replay render byte-identical tables at -workers 1, 3 and 8.
+func TestDeterministicAcrossWorkerCounts(t *testing.T) {
+	run := func(workers int) []byte {
 		var out []byte
-		for _, exp := range []string{"fig11a", "partition", "churn", "hierarchy"} {
-			eng := New(Options{Refs: 10_000, Seed: 3, Workers: workers, Shards: shards, Log: io.Discard})
+		for _, exp := range []string{"fig11a", "partition", "churn", "replication", "hierarchy"} {
+			eng := New(Options{Refs: 10_000, Seed: 3, Workers: workers, Log: io.Discard})
 			results, err := eng.Run(context.Background(), exp)
 			if err != nil {
-				t.Fatalf("workers=%d shards=%d %s: %v", workers, shards, exp, err)
+				t.Fatalf("workers=%d %s: %v", workers, exp, err)
 			}
 			out = append(out, renderAll(t, results)...)
 		}
 		return out
 	}
-	base := run(1, 1)
+	base := run(1)
 	if len(base) == 0 {
 		t.Fatal("no output rendered")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			got := run(workers, shards)
-			if !bytes.Equal(base, got) {
-				d := firstDiff(base, got)
-				t.Fatalf("workers=%d shards=%d diverges at byte %d:\nbase: %q\ngot:  %q",
-					workers, shards, d, clip(base, d), clip(got, d))
-			}
+	for _, workers := range []int{3, 8} {
+		got := run(workers)
+		if !bytes.Equal(base, got) {
+			d := firstDiff(base, got)
+			t.Fatalf("workers=%d diverges at byte %d:\nbase: %q\ngot:  %q",
+				workers, d, clip(base, d), clip(got, d))
 		}
-	}
-}
-
-// TestBudgetTryAcquire pins the spare-token pool's non-blocking
-// semantics.
-func TestBudgetTryAcquire(t *testing.T) {
-	b := NewBudget(3)
-	if got := b.TryAcquire(2); got != 2 {
-		t.Fatalf("TryAcquire(2) = %d from a pool of 3", got)
-	}
-	if got := b.TryAcquire(5); got != 1 {
-		t.Fatalf("TryAcquire(5) = %d with 1 token left", got)
-	}
-	if got := b.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire(1) = %d from an empty pool", got)
-	}
-	b.Release(3)
-	if got := b.TryAcquire(4); got != 3 {
-		t.Fatalf("TryAcquire(4) = %d after releasing 3", got)
 	}
 }
 

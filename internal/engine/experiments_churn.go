@@ -12,10 +12,12 @@ import (
 // The churn experiment family replays dynamic workloads — regions
 // mapped, unmapped, promoted and demoted while references flow — where
 // every static figure replays a frozen snapshot. Each cell pairs one
-// churn profile with one workload snapshot and runs all four
-// organizations through sim.RunChurnCell; the per-org replays are
-// independent, so the cell spreads them over its shard lanes and the
-// merged series is identical at any (-workers, -shards). Every replay
+// churn profile with one workload snapshot and one organization, so a
+// table's four organizations are four independent cells that merge by
+// index and render identically at any -workers. The organizations of
+// one pair share the pair's stream, seeded from the pair's key rather
+// than the cell's, so only the organization differs between a table's
+// rows. Every replay
 // runs with the epoch-level differential oracle enabled: the rendered
 // rows double as a proof that all four organizations tracked the
 // plain-map reference model through the full mutation vocabulary.
@@ -33,38 +35,41 @@ var churnPairs = []struct {
 }
 
 func runChurn(ctx context.Context, rc *RunContext) (*Result, error) {
-	cells := make([]ShardedCell[[]sim.ChurnSeries], len(churnPairs))
-	for i, pair := range churnPairs {
-		pair := pair
-		cells[i] = ShardedCell[[]sim.ChurnSeries]{
-			Key: fmt.Sprintf("churn/%s/%s", pair.profile, pair.workload),
-			Run: func(ctx context.Context, seed uint64, lanes int) ([]sim.ChurnSeries, error) {
-				cp, ok := trace.ChurnProfileByName(pair.profile)
-				if !ok {
-					return nil, fmt.Errorf("churn: no profile %q", pair.profile)
-				}
-				refs := rc.Refs / 4 // per organization; four replays per cell
-				if refs < 1 {
-					refs = 1
-				}
-				rc.CountRefs(uint64(refs) * 4)
-				cfg := sim.ChurnConfig{Refs: refs, Seed: seed, Check: true, MMU: rc.MMU()}
-				return sim.RunChurnCell(mustProfile(pair.workload), cp, cfg, lanes)
-			},
+	orgs := sim.ChurnVariants()
+	refs := rc.Refs / 4 // per organization
+	if refs < 1 {
+		refs = 1
+	}
+	cells := make([]Cell[sim.ChurnSeries], 0, len(churnPairs)*len(orgs))
+	for _, pair := range churnPairs {
+		cp, ok := trace.ChurnProfileByName(pair.profile)
+		if !ok {
+			return nil, fmt.Errorf("churn: no profile %q", pair.profile)
+		}
+		pairKey := fmt.Sprintf("churn/%s/%s", pair.profile, pair.workload)
+		cfg := sim.ChurnConfig{Refs: refs, Seed: trace.DeriveSeed(rc.Seed, pairKey), Check: true, MMU: rc.MMU()}
+		for _, org := range orgs {
+			cells = append(cells, Cell[sim.ChurnSeries]{
+				Key: pairKey + "/" + org.Name,
+				Run: func(ctx context.Context, _ uint64) (sim.ChurnSeries, error) {
+					rc.CountRefs(uint64(refs))
+					return sim.RunChurn(mustProfile(pair.workload), cp, org, cfg)
+				},
+			})
 		}
 	}
-	results, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	results, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
 	}
 	var ts []*report.Table
-	for i, series := range results {
+	for i, pair := range churnPairs {
 		t := report.NewTable(
 			fmt.Sprintf("Dynamic churn: %s ops over %s (per-epoch, oracle-checked)",
-				churnPairs[i].profile, churnPairs[i].workload),
+				pair.profile, pair.workload),
 			"org", "epoch", "ops", "miss rate", "faults", "table KB",
 			"mapped", "sp pages", "psb pages", "frag", "steals")
-		for _, s := range series {
+		for _, s := range results[i*len(orgs) : (i+1)*len(orgs)] {
 			for _, p := range s.Points {
 				t.Row(s.Org, p.Epoch, p.Ops, p.MissRate(), p.Faults,
 					float64(p.LiveBytes)/1024,

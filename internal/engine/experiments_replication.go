@@ -6,18 +6,19 @@ import (
 
 	"clusterpt/internal/report"
 	"clusterpt/internal/sim"
+	"clusterpt/internal/trace"
 )
 
 // The replication experiment answers the Mitosis question in this
 // codebase's terms: at what write rate does the shootdown tax of
 // replicating a page table across NUMA nodes eat the read-locality win,
-// per organization? One cell per organization; each cell sweeps
-// replication factor {1,2,4,8} × write rate {0,2,10,30}% over the
-// identical eight per-node op streams, so within a rendered table only
-// the geometry differs between columns. The point replays are serial
-// and independent — lanes (and the -replicas live cap) only spread
-// them, so output is byte-identical across the whole
-// (-workers, -shards, -replicas) grid.
+// per organization? One cell per (organization, replication factor
+// {1,2,4,8}, write rate {0,2,10,30}%) point. An organization's points
+// replay the identical eight per-node op streams, seeded from the
+// organization's key rather than the point's, so within a rendered
+// table only the geometry differs between columns. Each point replays
+// serially, and the points merge by index, so output is byte-identical
+// at any -workers.
 
 // replicationProfile fixes the workload: the factor × write-rate × org
 // grid is the story, so one representative trace keeps the cell count
@@ -32,25 +33,33 @@ func runReplication(ctx context.Context, rc *RunContext) (*Result, error) {
 	if pointOps < 1 {
 		pointOps = 1
 	}
-	cells := make([]ShardedCell[sim.ReplicationRow], len(orgs))
-	for i, org := range orgs {
-		org := org
-		cells[i] = ShardedCell[sim.ReplicationRow]{
-			Key: "replication/" + org.Name,
-			Run: func(ctx context.Context, seed uint64, lanes int) (sim.ReplicationRow, error) {
-				row, err := sim.RunReplicationCell(p, org, sim.ReplicationConfig{
-					Ops: pointOps, Seed: seed, MaxLive: rc.ReplicaCap(),
-				}, lanes)
-				if err == nil {
-					rc.CountRefs(uint64(len(row.Points)) * uint64(pointOps))
-				}
-				return row, err
-			},
+	cells := make([]Cell[sim.ReplicationPoint], 0, len(orgs)*len(factors)*len(rates))
+	for _, org := range orgs {
+		orgKey := "replication/" + org.Name
+		cfg := sim.ReplicationConfig{Ops: pointOps, Seed: trace.DeriveSeed(rc.Seed, orgKey)}
+		for _, f := range factors {
+			for _, w := range rates {
+				cells = append(cells, Cell[sim.ReplicationPoint]{
+					Key: fmt.Sprintf("%s/R%d/w%d", orgKey, f, w),
+					Run: func(ctx context.Context, _ uint64) (sim.ReplicationPoint, error) {
+						pt, err := sim.RunReplicationPoint(p, org, f, w, cfg)
+						if err == nil {
+							rc.CountRefs(uint64(pointOps))
+						}
+						return pt, err
+					},
+				})
+			}
 		}
 	}
-	rows, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	points, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
+	}
+	perOrg := len(factors) * len(rates)
+	rows := make([]sim.ReplicationRow, len(orgs))
+	for i, org := range orgs {
+		rows[i] = sim.ReplicationRow{Workload: p.Name, Org: org.Name, Points: points[i*perOrg : (i+1)*perOrg]}
 	}
 
 	var ts []*report.Table

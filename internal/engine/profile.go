@@ -11,9 +11,8 @@ import (
 // WithProfiles runs fn under the stdlib profilers: a CPU profile
 // written to cpuPath while fn runs, and a heap profile written to
 // memPath after it returns. An empty path skips that profile. Every
-// cell the engine runs carries "experiment" and "cell" profiler labels
-// (the lanes a FanSharded cell starts inherit them), so one CPU profile
-// splits by cell:
+// cell the engine runs carries "experiment" and "cell" profiler labels,
+// so one CPU profile splits by cell:
 //
 //	go tool pprof -tagfocus cell=hierarchy/coral cpu.out
 //

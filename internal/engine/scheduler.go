@@ -16,7 +16,9 @@ import (
 // (workload × variant × mode) point. Key must be unique within the
 // experiment: it both labels the cell in progress hooks and determines
 // the cell's derived seed, so two cells sharing a key would draw the
-// same stream.
+// same stream. Cells that must replay one stream (the organizations of
+// a churn pair, the points of a replication row) ignore the seed and
+// derive theirs from a key they share.
 type Cell[T any] struct {
 	Key string
 	Run func(ctx context.Context, seed uint64) (T, error)
@@ -40,22 +42,9 @@ type RunContext struct {
 // Workers returns the pool bound cells will be fanned across.
 func (rc *RunContext) Workers() int { return rc.eng.opts.Workers }
 
-// Shards returns the intra-cell lane budget experiments pass to
-// FanSharded (at least 1).
-func (rc *RunContext) Shards() int {
-	if s := rc.eng.opts.Shards; s > 1 {
-		return s
-	}
-	return 1
-}
-
 // MMU returns the translation-hierarchy configuration experiments pass
 // into their replay configs (the -mmu flag; zero value = flat).
 func (rc *RunContext) MMU() sim.MMUConfig { return rc.eng.opts.MMU }
-
-// ReplicaCap returns the -replicas execution cap on concurrently live
-// replicated point replays (0 = uncapped; never affects bytes).
-func (rc *RunContext) ReplicaCap() int { return rc.eng.opts.Replicas }
 
 // CountRefs lets a cell report how many trace references it simulated;
 // the total feeds the refs/sec instrumentation. Safe for concurrent use.
@@ -76,12 +65,6 @@ func (rc *RunContext) snapshot() Stats {
 // collision-checked, and independent of which worker picks the cell up.
 // The first cell error cancels the rest and is returned.
 func Fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T]) ([]T, error) {
-	return fan(ctx, rc, cells, rc.Workers())
-}
-
-// fan is Fan with an explicit pool bound, so FanSharded can shrink the
-// cell-level pool and spend the remaining workers inside cells.
-func fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T], workers int) ([]T, error) {
 	if len(cells) == 0 {
 		return nil, nil
 	}
@@ -94,6 +77,7 @@ func fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T], workers in
 	}
 	rc.cells.Add(int64(len(cells)))
 
+	workers := rc.Workers()
 	if workers > len(cells) {
 		workers = len(cells)
 	}
@@ -141,8 +125,7 @@ func fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T], workers in
 				start := time.Now() //ptlint:allow nodeterminism per-cell wall time feeds the CellDone hook, not cell results
 				var v T
 				var err error
-				// Profiler labels name the cell in CPU profiles; the
-				// lanes a FanSharded cell starts inherit them.
+				// Profiler labels name the cell in CPU profiles.
 				pprof.Do(wctx, pprof.Labels("experiment", rc.exp, "cell", c.Key), func(ctx context.Context) {
 					v, err = c.Run(ctx, trace.DeriveSeed(rc.Seed, c.Key))
 				})
@@ -185,95 +168,4 @@ feed:
 func FanWith[T any](ctx context.Context, e *Engine, label string, cells []Cell[T]) ([]T, error) {
 	rc := &RunContext{eng: e, exp: label, Refs: e.opts.Refs, Seed: e.opts.Seed}
 	return Fan(ctx, rc, cells)
-}
-
-// Budget is a non-blocking pool of spare worker tokens that concurrent
-// cells share for nested parallelism: a cell grabs what is free when it
-// starts and returns it when it finishes. Grants are first-come —
-// deliberately nondeterministic — which is safe only because lane
-// counts never influence results: the churn and replication cells run
-// the same independent replays at any lane count and merge them by
-// index.
-type Budget struct {
-	tokens chan struct{}
-}
-
-// NewBudget creates a pool of n spare tokens.
-func NewBudget(n int) *Budget {
-	b := &Budget{tokens: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		b.tokens <- struct{}{}
-	}
-	return b
-}
-
-// TryAcquire takes up to want tokens without blocking and returns how
-// many it got.
-func (b *Budget) TryAcquire(want int) int {
-	for got := 0; ; got++ {
-		if got >= want {
-			return got
-		}
-		select {
-		case <-b.tokens:
-		default:
-			return got
-		}
-	}
-}
-
-// Release returns n tokens to the pool.
-func (b *Budget) Release(n int) {
-	for i := 0; i < n; i++ {
-		b.tokens <- struct{}{}
-	}
-}
-
-// ShardedCell is a Cell whose Run can spread its independent replays
-// across lanes goroutine lanes (always >= 1). The result must not
-// depend on lanes.
-type ShardedCell[T any] struct {
-	Key string
-	Run func(ctx context.Context, seed uint64, lanes int) (T, error)
-}
-
-// FanSharded schedules cells with one worker budget shared between the
-// cell level and the intra-cell shard level: the cell pool shrinks to
-// max(1, Workers/shards) and the displaced workers become a spare-token
-// Budget, so every cell runs with 1 + TryAcquire(shards-1) lanes. With
-// many cells the pool stays busy and cells run mostly serial; as the
-// tail drains, finished cells release their tokens and the stragglers
-// pick up lanes — the weighted scheduler ptrepro's -shards flag
-// exposes.
-// shards <= 1 degrades to Fan with every cell at one lane.
-func FanSharded[T any](ctx context.Context, rc *RunContext, shards int, cells []ShardedCell[T]) ([]T, error) {
-	plain := make([]Cell[T], len(cells))
-	if shards <= 1 {
-		for i, c := range cells {
-			run := c.Run
-			plain[i] = Cell[T]{Key: c.Key, Run: func(ctx context.Context, seed uint64) (T, error) {
-				return run(ctx, seed, 1)
-			}}
-		}
-		return Fan(ctx, rc, plain)
-	}
-	workers := rc.Workers()
-	pool := workers / shards
-	if pool < 1 {
-		pool = 1
-	}
-	spare := workers - pool
-	if spare < 0 {
-		spare = 0
-	}
-	budget := NewBudget(spare)
-	for i, c := range cells {
-		run := c.Run
-		plain[i] = Cell[T]{Key: c.Key, Run: func(ctx context.Context, seed uint64) (T, error) {
-			extra := budget.TryAcquire(shards - 1)
-			defer budget.Release(extra)
-			return run(ctx, seed, 1+extra)
-		}}
-	}
-	return fan(ctx, rc, plain, pool)
 }

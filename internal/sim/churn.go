@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
@@ -381,43 +379,4 @@ func RunChurn(p trace.Profile, cp trace.ChurnProfile, v TableVariant, cfg ChurnC
 		})
 	}
 	return series, nil
-}
-
-// RunChurnCell replays one (workload, churn profile) pair against every
-// organization, spreading the independent per-org replays over lanes
-// goroutines. Each replay is fully self-contained (own stream instance,
-// allocator, model, TLB, all derived from the same seed), so results
-// merge by org index and are identical at any lane count.
-func RunChurnCell(p trace.Profile, cp trace.ChurnProfile, cfg ChurnConfig, lanes int) ([]ChurnSeries, error) {
-	orgs := ChurnVariants()
-	if lanes > len(orgs) {
-		lanes = len(orgs)
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	out := make([]ChurnSeries, len(orgs))
-	errs := make([]error, len(orgs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(orgs) {
-					return
-				}
-				out[i], errs[i] = RunChurn(p, cp, orgs[i], cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

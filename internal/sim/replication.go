@@ -3,8 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
@@ -32,18 +30,14 @@ func ReplicationFactors() []int { return []int{1, 2, 4, 8} }
 // the ops mutate (half maps, half unmaps), the rest translate.
 func ReplicationWriteRates() []int { return []int{0, 2, 10, 30} }
 
-// ReplicationConfig parameterizes one replication sweep.
+// ReplicationConfig parameterizes the replication points of one
+// organization.
 type ReplicationConfig struct {
 	// Ops is the op count per (factor, write-rate) point.
 	Ops int
 	// Seed derives the per-node op streams; identical streams replay at
 	// every coordinate so only the geometry differs between points.
 	Seed uint64
-	// MaxLive caps concurrently replaying points (each point holds up to
-	// eight replica tables; the cap bounds peak replica memory). 0
-	// leaves the lane grant in charge. Results are byte-identical at
-	// every value — the -replicas flag's contract.
-	MaxLive int
 }
 
 // ReplicationPoint is one (factor, write-rate) coordinate's accounting.
@@ -162,51 +156,4 @@ func RunReplicationPoint(p trace.Profile, v TableVariant, factor, writePct int, 
 	}
 	pt.Shootdown = r.Shootdowns().Sub(sdBase)
 	return pt, nil
-}
-
-// RunReplicationCell sweeps one organization over every (factor,
-// write-rate) coordinate, spreading the independent point replays over
-// min(lanes, MaxLive) goroutines. Points merge by grid index, so the
-// row is identical at any lane count or live cap.
-func RunReplicationCell(p trace.Profile, v TableVariant, cfg ReplicationConfig, lanes int) (ReplicationRow, error) {
-	type coord struct{ factor, writePct int }
-	var grid []coord
-	for _, f := range ReplicationFactors() {
-		for _, w := range ReplicationWriteRates() {
-			grid = append(grid, coord{f, w})
-		}
-	}
-	if lanes > len(grid) {
-		lanes = len(grid)
-	}
-	if cfg.MaxLive > 0 && lanes > cfg.MaxLive {
-		lanes = cfg.MaxLive
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	row := ReplicationRow{Workload: p.Name, Org: v.Name, Points: make([]ReplicationPoint, len(grid))}
-	errs := make([]error, len(grid))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(grid) {
-					return
-				}
-				row.Points[i], errs[i] = RunReplicationPoint(p, v, grid[i].factor, grid[i].writePct, cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ReplicationRow{}, err
-		}
-	}
-	return row, nil
 }
