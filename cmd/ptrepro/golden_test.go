@@ -30,7 +30,7 @@ func TestGoldenOutput(t *testing.T) {
 	*csvFlag = false
 
 	var buf bytes.Buffer
-	for i, exp := range []string{"table1", "fig9", "fig10", "table2", "lines", "churn", "hierarchy", "replication"} {
+	for i, exp := range []string{"table1", "fig9", "fig10", "table2", "lines", "churn", "hierarchy", "replication", "sweeps", "residency", "swtlb"} {
 		// Vary the worker count as we go: the golden file is also a
 		// determinism check, so cell scheduling may not leak into the
 		// bytes.
