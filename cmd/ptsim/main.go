@@ -266,6 +266,9 @@ func checkFlags() error {
 		return fmt.Errorf("-line %d: need a power of two of at least 8 bytes", *lineSize)
 	case *refs < 1:
 		return fmt.Errorf("-refs %d: need at least one reference", *refs)
+	case *seed == 0:
+		// engine.Options would take 0 as its default seed, 1.
+		return fmt.Errorf("-seed 0: need a nonzero seed (0 would silently run seed 1)")
 	case *buckets < 1 || !addr.IsPow2(uint64(*buckets)):
 		// core.New and hashed.New would take 0 as their default.
 		return fmt.Errorf("-buckets %d: need a power of two", *buckets)

@@ -68,11 +68,12 @@ func TestReplicasRejectSubblock(t *testing.T) {
 }
 
 // TestRejectsBadNumericFlags: an out-of-range -entries (below one or
-// above tlb.MaxEntries), -line or -refs (below one), a -buckets or -sbf
-// the table constructors would reject or silently default, a negative
-// -workers, or a -replicas outside [0, memcost.DefaultNodes], is an
-// error reported before any cell runs, never a panic, an out-of-memory
-// crash, a silent default, a NaN report or a wrapped-around total.
+// above tlb.MaxEntries), -line or -refs (below one), a zero -seed, a
+// -buckets or -sbf the table constructors would reject or silently
+// default, a negative -workers, or a -replicas outside [0,
+// memcost.DefaultNodes], is an error reported before any cell runs,
+// never a panic, an out-of-memory crash, a silent default, a NaN report
+// or a wrapped-around total.
 func TestRejectsBadNumericFlags(t *testing.T) {
 	t.Cleanup(func() {
 		flag.Set("entries", "64")
@@ -82,6 +83,7 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		flag.Set("sbf", "16")
 		flag.Set("workers", "1")
 		flag.Set("replicas", "0")
+		flag.Set("seed", "1")
 	})
 	for _, tc := range []struct{ name, value string }{
 		{"entries", "-1"},
@@ -93,6 +95,7 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		{"line", "0"},
 		{"refs", "-5"},
 		{"refs", "0"},
+		{"seed", "0"},
 		{"buckets", "0"},
 		{"buckets", "3"},
 		{"buckets", "-4096"},
@@ -114,7 +117,7 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 			}()
 			out, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", "single",
 				"refs", "20000", "entries", "64", "line", "256", "buckets", "4096", "sbf", "16",
-				"replicas", "0", "workers", "1", tc.name, tc.value)
+				"replicas", "0", "workers", "1", "seed", "1", tc.name, tc.value)
 			if err == nil || !strings.Contains(err.Error(), "-"+tc.name) {
 				t.Fatalf("err = %v, want a -%s error", err, tc.name)
 			}

@@ -8,9 +8,9 @@ import (
 
 // HotPathAlloc guards the replay fast path of PR 5: the simulation's
 // per-reference miss accounting moved from string-keyed maps to dense
-// arrays indexed by a small enum (sim.LineClass), because a map index
-// on the hot path hashes its key on every reference and — when the key
-// is built per access — allocates. A regression that reintroduces a
+// arrays indexed by variant position (sim's walkCost and lineCounts),
+// because a map index on the hot path hashes its key on every reference
+// and — when the key is built per access — allocates. A regression that reintroduces a
 // string-keyed counter map inside a replay loop would be invisible to
 // the differential tests (results stay identical; only the allocation
 // profile degrades), so the invariant is linted instead.
@@ -62,7 +62,7 @@ func checkHotLoopBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bo
 			return
 		}
 		reported[pos] = true
-		pass.Reportf(pos, "string-keyed counter map %s incremented inside a loop: each iteration hashes the key; index a dense array by a small enum instead (see sim.LineClass)",
+		pass.Reportf(pos, "string-keyed counter map %s incremented inside a loop: each iteration hashes the key; index a dense array by position instead (see sim's per-variant lineCounts)",
 			exprName(idx.X))
 	}
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -51,17 +51,35 @@ func (f Figure) Mode() PTEMode {
 // hashed page tables appear as multiple page tables (4KB searched first)
 // when superpage or partial-subblock PTEs are in play (§6.1).
 func (f Figure) Variants() []TableVariant {
-	lin := TableVariant{Name: "linear", Class: LCLinear, New: variantLinear1, ReservedTLB: 8}
-	fwd := TableVariant{Name: "forward-mapped", Class: LCForward, New: variantForward}
-	clu := TableVariant{Name: "clustered", Class: LCClustered, New: variantClustered}
+	lin := TableVariant{Name: "linear", New: variantLinear1, ReservedTLB: 8}
+	fwd := TableVariant{Name: "forward-mapped", New: variantForward}
+	clu := TableVariant{Name: "clustered", New: variantClustered}
 	switch f {
 	case Fig11b, Fig11c:
-		return []TableVariant{lin, fwd,
-			{Name: "hashed", Class: LCHashed, New: variantHashedMulti}, clu}
+		return []TableVariant{lin, fwd, {Name: "hashed", New: variantHashedMulti}, clu}
 	default:
-		return []TableVariant{lin, fwd,
-			{Name: "hashed", Class: LCHashed, New: variantHashed}, clu}
+		return []TableVariant{lin, fwd, {Name: "hashed", New: variantHashed}, clu}
 	}
+}
+
+// kernel names what the TLB-miss replay kernel runs over a process:
+// fig supplies the TLB kind, the PTE mode and the Fig11d prefetch;
+// variants are the organizations walked, at most maxVariants, and every
+// walk cost and line count is indexed by their position; refill is the
+// position of the non-reserved variant whose entries refill the
+// reference TLB (the canonical build). Figure 11, table1, the probe-order
+// and superpage-index sweeps, residency and swtlb are each one kernel.
+type kernel struct {
+	fig      Figure
+	variants []TableVariant
+	refill   int
+}
+
+// figureKernel is Figure f's kernel: its variants, refilled from the
+// clustered table, which Variants lists last.
+func figureKernel(f Figure) kernel {
+	vs := f.Variants()
+	return kernel{fig: f, variants: vs, refill: len(vs) - 1}
 }
 
 // AccessConfig parameterizes an access-time run.
@@ -148,41 +166,23 @@ func RunFigure11Pipelines(f Figure, p trace.Profile, cfg AccessConfig, mmus []MM
 		return nil, err
 	}
 	cfg.fill()
+	k := figureKernel(f)
+	res, err := replayWorkload(k, p, cfg, mmus, nil)
 	rows := make([]AccessRow, len(mmus))
 	for t := range rows {
-		rows[t] = AccessRow{Workload: p.Name, Figure: f, AvgLines: map[string]float64{}}
+		rows[t] = AccessRow{Workload: p.Name, Figure: f, AvgLines: map[string]float64{},
+			RefMisses: res.misses, RefAccesses: res.accesses, LinearNested: res.nested[t]}
 	}
-	lines := make([]lineCounts, len(mmus))
-	var misses, accesses uint64
-
-	snaps := p.Snapshot()
-	for pi, snap := range snaps {
-		refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
-		if refs == 0 {
-			continue
-		}
-		res, err := runProcess(f, snap, refs, cfg, mmus)
-		if err != nil {
-			return rows, fmt.Errorf("sim: %s/%s: %w", p.Name, snap.Name, err)
-		}
-		misses += res.misses
-		accesses += uint64(refs)
-		for t := range rows {
-			lines[t].add(&res.lines[t])
-			rows[t].LinearNested += res.nested[t]
-		}
+	if err != nil {
+		return rows, err
 	}
-	for t := range rows {
-		rows[t].RefMisses = misses
-		rows[t].RefAccesses = accesses
-	}
-	if misses == 0 {
+	if res.misses == 0 {
 		return rows, fmt.Errorf("sim: %s: no TLB misses", p.Name)
 	}
 	// Names enter the rows only here, at report time.
 	for t := range rows {
-		for _, v := range f.Variants() {
-			rows[t].AvgLines[v.Name] = float64(lines[t][v.Class]) / float64(misses)
+		for i, v := range k.variants {
+			rows[t].AvgLines[v.Name] = float64(res.lines[t][i]) / float64(res.misses)
 		}
 	}
 	return rows, nil
@@ -202,16 +202,15 @@ func checkPipelines(f Figure, mmus []MMUConfig) error {
 	return nil
 }
 
-// figureState is one process's simulation state, split into the shared
-// L1 stage — the variant page tables, the reference TLB and each linear
+// figureState is one process's kernel state, split into the shared L1
+// stage — the variant page tables, the reference TLB and each linear
 // variant's main TLB — and one tail per MMU pipeline.
 type figureState struct {
-	variants  []TableVariant
-	builds    []*Build
-	canonical pagetable.PageTable
-	refTLB    *tlb.TLB
-	lins      []*linState
-	tails     []*tailState
+	kernel
+	builds []*Build // index-aligned with variants
+	refTLB *tlb.TLB
+	lins   []*linState
+	tails  []*tailState
 
 	// pwcIdx is the single tree-walked variant whose upper levels a
 	// page-walk cache elides, and pwcUpper its upper-walk line count;
@@ -237,8 +236,9 @@ type tailState struct {
 // per pipeline (linTail), because a pipeline whose L2 hits never reads
 // the PTE array and so never translates its page.
 type linState struct {
-	main  *tlb.TLB
-	class LineClass
+	main *tlb.TLB
+	// idx is the linear variant's position: the line count it charges.
+	idx int
 	// upper is the nested-walk line cost. UpperWalkCost is a constant of
 	// the table's configuration (levels and upper-walk mode), so it is
 	// hoisted out of the loop entirely.
@@ -256,11 +256,11 @@ type linTail struct {
 	pwc *walkcache.PWC
 }
 
-// newFigureState builds the figure's page tables and TLBs for one
+// newFigureState builds the kernel's page tables and TLBs for one
 // process snapshot, with one tail per entry of mmus.
-func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus []MMUConfig) (*figureState, error) {
-	st := &figureState{variants: f.Variants(), pwcIdx: -1}
-	mode := f.Mode()
+func newFigureState(k kernel, snap trace.ProcessSnapshot, cfg AccessConfig, mmus []MMUConfig) (*figureState, error) {
+	st := &figureState{kernel: k, pwcIdx: -1}
+	mode := k.fig.Mode()
 
 	// builds is index-aligned with variants; the replay loop never keys
 	// by name.
@@ -271,12 +271,9 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 			return nil, err
 		}
 		st.builds[i] = b
-		if v.Class == LCClustered {
-			st.canonical = b.Table
-		}
 	}
 
-	kind := f.TLBKind()
+	kind := k.fig.TLBKind()
 	var err error
 	if st.refTLB, err = tlb.New(tlb.Config{Kind: kind, Entries: cfg.Entries}); err != nil {
 		return nil, err
@@ -306,15 +303,6 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 			st.pwcIdx = i
 			st.pwcUpper = uw.UpperWalkCost(0).Lines
 		}
-		if st.pwcIdx >= 0 {
-			// Per-class elision relies on the walk-cached variant owning
-			// its accounting class alone.
-			for i, v := range st.variants {
-				if i != st.pwcIdx && v.Class == st.variants[st.pwcIdx].Class {
-					return nil, fmt.Errorf("sim: walk-cached class %v shared by %q", v.Class, v.Name)
-				}
-			}
-		}
 	}
 
 	// Linear page tables run their own, smaller TLB plus the reserved
@@ -341,7 +329,7 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		}
 		st.lins = append(st.lins, &linState{
 			main:  main,
-			class: v.Class,
+			idx:   i,
 			upper: uint32(lt.UpperWalkCost(0).Lines),
 		})
 		reserved = append(reserved, v.ReservedTLB)
@@ -368,39 +356,76 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 	return st, nil
 }
 
-// procResult is one process's replay: the shared L1 miss count and each
-// pipeline's line totals and nested linear misses, index-aligned with
-// the pipelines.
+// procResult is a kernel replay's totals: the shared L1 miss count, the
+// references replayed, and each pipeline's line totals (by variant
+// position) and nested linear misses, index-aligned with the pipelines.
 type procResult struct {
-	misses uint64
-	lines  []lineCounts
-	nested []uint64
+	misses   uint64
+	accesses uint64
+	lines    []lineCounts
+	nested   []uint64
 }
 
-// runProcess drives one process's trace through the figure's TLBs and
-// page tables under every pipeline in mmus. It first builds the
-// process's walk-cost table, walking each mapped page once per variant,
-// then replays the trace over it (replayProcess).
-func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, mmus []MMUConfig) (procResult, error) {
-	st, err := newFigureState(f, snap, cfg, mmus)
+// missHook observes one reference-TLB miss after the kernel has charged
+// it: refs counts the process's references replayed so far, this one
+// included, and c holds every variant's walk cost for the miss.
+type missHook func(refs int, va addr.V, c *walkCost) error
+
+// replayWorkload runs kernel k over each of p's processes that gets a
+// share of cfg.Refs, under every pipeline in mmus, and sums the
+// replays. Each process first builds its tables and walk-cost table,
+// walking each mapped page once per variant, then replays its trace
+// over them (replayProcess). setup, when non-nil, sees each process's
+// state (pi indexes p.Procs) before its replay and returns the hook for
+// its misses, or nil.
+func replayWorkload(k kernel, p trace.Profile, cfg AccessConfig, mmus []MMUConfig,
+	setup func(pi int, st *figureState) missHook) (procResult, error) {
+	sum := procResult{lines: make([]lineCounts, len(mmus)), nested: make([]uint64, len(mmus))}
+	for pi, snap := range p.Snapshot() {
+		refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
+		if refs == 0 {
+			continue
+		}
+		res, err := runProcess(k, pi, snap, refs, cfg, mmus, setup)
+		if err != nil {
+			return sum, fmt.Errorf("sim: %s/%s: %w", p.Name, snap.Name, err)
+		}
+		sum.misses += res.misses
+		sum.accesses += res.accesses
+		for t := range mmus {
+			sum.lines[t].add(&res.lines[t])
+			sum.nested[t] += res.nested[t]
+		}
+	}
+	return sum, nil
+}
+
+// runProcess is one process of replayWorkload.
+func runProcess(k kernel, pi int, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, mmus []MMUConfig,
+	setup func(pi int, st *figureState) missHook) (procResult, error) {
+	st, err := newFigureState(k, snap, cfg, mmus)
 	if err != nil {
 		return procResult{}, err
 	}
-	costs, err := newWalkTable(f, st, snap)
+	costs, err := newWalkTable(st, snap)
 	if err != nil {
 		return procResult{}, err
 	}
-	return replayProcess(f, st, costs, snap, refs, cfg)
+	var onMiss missHook
+	if setup != nil {
+		onMiss = setup(pi, st)
+	}
+	return replayProcess(st, costs, snap, refs, cfg, onMiss)
 }
 
 // replayProcess runs the three replay stages (refStage, walkLane,
 // linLane) inline over the process's buffered reference stream,
-// refilling every TLB and charging every miss from costs: no page table
-// is walked.
-func replayProcess(f Figure, st *figureState, costs *walkTable, snap trace.ProcessSnapshot, refs int, cfg AccessConfig) (procResult, error) {
-	ref := &refStage{f: f, st: st, canon: &costs.canon}
+// refilling every TLB and charging every miss from costs, then hands
+// each miss to onMiss (if set): no page table is walked.
+func replayProcess(st *figureState, costs *walkTable, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, onMiss missHook) (procResult, error) {
+	ref := &refStage{st: st, canon: &costs.canon}
 	walk := newWalkLane(st, costs)
-	lin := newLinLane(f, st, costs)
+	lin := newLinLane(st, costs)
 	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
 	var misses uint64
 	err := replay(gen, cfg.Buf, refs, func(va addr.V) error {
@@ -413,17 +438,27 @@ func replayProcess(f Figure, st *figureState, costs *walkTable, snap trace.Proce
 			if err := walk.charge(rec); err != nil {
 				return err
 			}
+			if onMiss != nil {
+				c, err := costs.cost(rec)
+				if err != nil {
+					return err
+				}
+				// The reference TLB has seen every reference so far.
+				if err := onMiss(int(st.refTLB.Stats().Accesses), va, c); err != nil {
+					return err
+				}
+			}
 		}
 		return lin.step(va)
 	})
 	if err != nil {
 		return procResult{}, err
 	}
-	// The stages charge disjoint classes, so the merge is a plain sum.
+	// The stages charge disjoint variants, so the merge is a plain sum.
 	for t := range lin.lines {
 		lin.lines[t].add(&walk.lines[t])
 	}
-	return procResult{misses: misses, lines: lin.lines, nested: lin.nested}, nil
+	return procResult{misses: misses, accesses: uint64(refs), lines: lin.lines, nested: lin.nested}, nil
 }
 
 // pteForLeaf fabricates a TLB entry for a page-table page: only the tag

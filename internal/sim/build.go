@@ -50,10 +50,6 @@ func (m PTEMode) policy() mm.Policy {
 type TableVariant struct {
 	// Name labels the variant in reports (e.g. "clustered").
 	Name string
-	// Class is the dense accounting index the replay hot path uses
-	// instead of Name (see LineClass); only the Figure 11 variants,
-	// which feed per-miss accounting, set it.
-	Class LineClass
 	// New builds an empty table with the given cache-line model.
 	New func(m memcost.Model) pagetable.PageTable
 	// ReservedTLB is the number of TLB entries the organization needs

@@ -5,10 +5,8 @@ import (
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/cache"
-	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/swtlb"
-	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
 
@@ -67,7 +65,6 @@ func (c *ResidencyConfig) fill() {
 type arena struct {
 	base  uint64
 	lines uint64
-	rng   *trace.RNG
 }
 
 func newArena(id int, footprint uint64, lineSize int) *arena {
@@ -78,22 +75,32 @@ func newArena(id int, footprint uint64, lineSize int) *arena {
 	return &arena{
 		base:  uint64(id+1) << 40, // disjoint address regions per table
 		lines: lines,
-		rng:   trace.NewRNG(uint64(id)*977 + 13),
 	}
 }
 
-// walkAddrs yields n line addresses for one walk. The first line of a
-// walk is placed by the faulting page (stable per page), and subsequent
-// chain/level lines follow pseudo-randomly — a deterministic stand-in
-// for real node placement.
-func (a *arena) walkAddrs(pageKey uint64, n int, lineSize int) []uint64 {
-	out := make([]uint64, 0, n)
+// walkAddrs appends to dst n line addresses for one walk. The first
+// line of a walk is placed by the faulting page (stable per page), and
+// subsequent chain/level lines follow pseudo-randomly — a deterministic
+// stand-in for real node placement.
+func (a *arena) walkAddrs(dst []uint64, pageKey uint64, n int, lineSize int) []uint64 {
 	line := pagetable.HashVPN(pageKey) % a.lines
 	for i := 0; i < n; i++ {
-		out = append(out, a.base+line*uint64(lineSize))
+		dst = append(dst, a.base+line*uint64(lineSize))
 		line = pagetable.HashVPN(line+pageKey+uint64(i)) % a.lines
 	}
-	return out
+	return dst
+}
+
+// residencyKernel replays the Figure 11a miss stream over its four
+// organizations, refilled from the clustered table. Linear is walked like
+// the others: residency charges its lines on the reference TLB's misses,
+// not through reserved entries.
+func residencyKernel() kernel {
+	k := figureKernel(Fig11a) // Variants returns a fresh slice
+	for i := range k.variants {
+		k.variants[i].ReservedTLB = 0
+	}
+	return k
 }
 
 // RunResidency measures touched vs actually-missing page-table lines for
@@ -105,74 +112,55 @@ func RunResidency(p trace.Profile, cfg ResidencyConfig) (ResidencyRow, error) {
 		TouchedPerMiss: map[string]float64{},
 		MissedPerMiss:  map[string]float64{},
 	}
-	variants := Fig11a.Variants()
-	m := memcost.NewModel(0)
-
-	var touched, missed lineCounts
-	var tlbMisses uint64
-
-	snaps := p.Snapshot()
-	for pi, snap := range snaps {
-		refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
-		if refs == 0 {
-			continue
-		}
-		// Index-aligned with variants: the replay loop stays free of map
-		// lookups and map iteration.
-		builds := make([]*Build, len(variants))
-		arenas := make([]*arena, len(variants))
-		caches := make([]*cache.Cache, len(variants))
-		for i, v := range variants {
-			b, err := BuildProcess(v, BaseOnly, snap, m)
-			if err != nil {
-				return row, err
+	k := residencyKernel()
+	var missed lineCounts
+	var addrs []uint64 // one walk's line addresses, reused
+	res, err := replayWorkload(k, p, AccessConfig{Refs: cfg.Refs, Entries: 64, Seed: cfg.Seed, Buf: cfg.Buf},
+		[]MMUConfig{{}}, func(_ int, st *figureState) missHook {
+			// Index-aligned with the variants: the hook stays free of map
+			// lookups and map iteration.
+			arenas := make([]*arena, len(st.builds))
+			caches := make([]*cache.Cache, len(st.builds))
+			for i, b := range st.builds {
+				arenas[i] = newArena(i, b.Table.Size().PTEBytes, 256)
+				caches[i] = cache.MustNew(cache.Config{SizeBytes: cfg.CacheBytes, LineSize: 256, Ways: 4})
 			}
-			builds[i] = b
-			arenas[i] = newArena(i, b.Table.Size().PTEBytes, 256)
-			caches[i] = cache.MustNew(cache.Config{SizeBytes: cfg.CacheBytes, LineSize: 256, Ways: 4})
-		}
-		dataRng := trace.NewRNG(cfg.Seed * 7777)
-		t := tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: 64})
-		gen := trace.NewGenerator(snap, cfg.Seed*31+1)
-		err := replay(gen, cfg.Buf, refs, func(va addr.V) error {
-			// Program data churns every cache (same stream for all).
-			dataLine := dataRng.Uint64() % (uint64(cfg.CacheBytes) * 4 / 256)
-			for _, c := range caches {
-				for d := 0; d < cfg.DataLinesPerRef; d++ {
-					c.Access(dataLine * 256)
-				}
-			}
-			if t.Access(va).Hit {
-				return nil
-			}
-			tlbMisses++
-			for i, v := range variants {
-				e, cost, ok := builds[i].Table.Lookup(va)
-				if !ok {
-					return fmt.Errorf("%s lost %v", v.Name, va)
-				}
-				touched[v.Class] += uint64(cost.Lines)
-				for _, a := range arenas[i].walkAddrs(uint64(e.VPN), cost.Lines, 256) {
-					if !caches[i].Access(a) {
-						missed[v.Class]++
+			dataRng := trace.NewRNG(cfg.Seed * 7777)
+			churned := 0
+			return func(refs int, va addr.V, c *walkCost) error {
+				// Program data churns every cache (same stream for all)
+				// once per reference, before that reference's walk. The
+				// caches are read only here, so the churn of the
+				// references since the last miss catches up first.
+				for ; churned < refs; churned++ {
+					dataLine := dataRng.Uint64() % (uint64(cfg.CacheBytes) * 4 / 256)
+					for _, ch := range caches {
+						for d := 0; d < cfg.DataLinesPerRef; d++ {
+							ch.Access(dataLine * 256)
+						}
 					}
 				}
-				if v.Class == LCClustered {
-					t.Insert(e)
+				vpn := uint64(addr.VPNOf(va))
+				for i, ch := range caches {
+					addrs = arenas[i].walkAddrs(addrs[:0], vpn, int(c[i]), 256)
+					for _, a := range addrs {
+						if !ch.Access(a) {
+							missed[i]++
+						}
+					}
 				}
+				return nil
 			}
-			return nil
 		})
-		if err != nil {
-			return row, err
-		}
+	if err != nil {
+		return row, err
 	}
-	if tlbMisses == 0 {
+	if res.misses == 0 {
 		return row, fmt.Errorf("sim: %s: no misses", p.Name)
 	}
-	for _, v := range variants {
-		row.TouchedPerMiss[v.Name] = float64(touched[v.Class]) / float64(tlbMisses)
-		row.MissedPerMiss[v.Name] = float64(missed[v.Class]) / float64(tlbMisses)
+	for i, v := range k.variants {
+		row.TouchedPerMiss[v.Name] = float64(res.lines[0][i]) / float64(res.misses)
+		row.MissedPerMiss[v.Name] = float64(missed[i]) / float64(res.misses)
 	}
 	return row, nil
 }
@@ -189,72 +177,64 @@ type SwTLBRow struct {
 	SwHitRate float64
 }
 
+// swtlbKernel replays the single-page-size miss stream over the named
+// raw table, which refills the TLB.
+func swtlbKernel(tableName string) (kernel, error) {
+	v := TableVariant{Name: tableName}
+	switch tableName {
+	case "forward-mapped":
+		v.New = variantForward
+	case "hashed":
+		v.New = variantHashed
+	case "clustered":
+		v.New = variantClustered
+	default:
+		return kernel{}, fmt.Errorf("sim: unknown table %q", tableName)
+	}
+	return kernel{fig: Fig11a, variants: []TableVariant{v}}, nil
+}
+
 // SwTLBSweep runs a workload's single-page-size miss stream against a
 // page table with and without a software TLB front-end.
 func SwTLBSweep(p trace.Profile, tableName string, cfg AccessConfig) (SwTLBRow, error) {
 	cfg.fill()
 	row := SwTLBRow{Workload: p.Name, Table: tableName}
-	var v TableVariant
-	switch tableName {
-	case "forward-mapped":
-		v = TableVariant{Name: tableName, New: variantForward}
-	case "hashed":
-		v = TableVariant{Name: tableName, New: variantHashed}
-	case "clustered":
-		v = TableVariant{Name: tableName, New: variantClustered}
-	default:
-		return row, fmt.Errorf("sim: unknown table %q", tableName)
+	k, err := swtlbKernel(tableName)
+	if err != nil {
+		return row, err
 	}
 
-	var rawLines, swLines, misses, swHits, swMisses uint64
-	snaps := p.Snapshot()
-	for pi, snap := range snaps {
-		refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
-		if refs == 0 {
-			continue
-		}
-		rawBuild, err := BuildProcess(v, BaseOnly, snap, cfg.LineModel)
-		if err != nil {
-			return row, err
-		}
-		swBuild, err := BuildProcess(v, BaseOnly, snap, cfg.LineModel)
-		if err != nil {
-			return row, err
-		}
-		sw := swtlb.MustNew(swtlb.Config{Entries: 4096, Ways: 2, CostModel: cfg.LineModel}, swBuild.Table)
-
-		t := tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: cfg.Entries})
-		gen := trace.NewGenerator(snap, cfg.Seed*31+1)
-		err = replay(gen, cfg.Buf, refs, func(va addr.V) error {
-			if t.Access(va).Hit {
+	var swLines uint64
+	var sws []*swtlb.Cache
+	res, err := replayWorkload(k, p, cfg, []MMUConfig{{}},
+		func(_ int, st *figureState) missHook {
+			// The software TLB fronts the raw table itself; its probe on
+			// every miss is what this experiment measures.
+			sw := swtlb.MustNew(swtlb.Config{Entries: 4096, Ways: 2, CostModel: cfg.LineModel}, st.builds[0].Table)
+			sws = append(sws, sw)
+			return func(_ int, va addr.V, _ *walkCost) error {
+				_, cost, ok := sw.Lookup(va)
+				if !ok {
+					return fmt.Errorf("software TLB lost %v", va)
+				}
+				swLines += uint64(cost.Lines)
 				return nil
 			}
-			misses++
-			e, cost, ok := rawBuild.Table.Lookup(va)
-			if !ok {
-				return fmt.Errorf("raw table lost %v", va)
-			}
-			rawLines += uint64(cost.Lines)
-			_, swCost, ok := sw.Lookup(va)
-			if !ok {
-				return fmt.Errorf("swtlb lost %v", va)
-			}
-			swLines += uint64(swCost.Lines)
-			t.Insert(e)
-			return nil
 		})
-		if err != nil {
-			return row, err
-		}
+	if err != nil {
+		return row, err
+	}
+	if res.misses == 0 {
+		return row, fmt.Errorf("sim: %s: no misses", p.Name)
+	}
+	row.RawLines = float64(res.lines[0][0]) / float64(res.misses)
+	row.SwLines = float64(swLines) / float64(res.misses)
+	var swHits, swMisses uint64
+	for _, sw := range sws {
 		st := sw.CacheStats()
 		swHits += st.Hits
 		swMisses += st.Misses
 	}
-	if misses == 0 {
-		return row, fmt.Errorf("sim: %s: no misses", p.Name)
-	}
-	row.RawLines = float64(rawLines) / float64(misses)
-	row.SwLines = float64(swLines) / float64(misses)
 	if swHits+swMisses > 0 {
 		row.SwHitRate = float64(swHits) / float64(swHits+swMisses)
 	}

@@ -1,13 +1,9 @@
 package sim
 
 import (
-	"fmt"
-
-	"clusterpt/internal/addr"
 	"clusterpt/internal/hashed"
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
-	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
 
@@ -30,72 +26,40 @@ type SPIndexRow struct {
 	SPIndexMaxChain int
 }
 
+// spIndexKernel replays Figure 11b's superpage-TLB miss stream over the
+// three organizations, refilled from the clustered table.
+func spIndexKernel() kernel {
+	return kernel{fig: Fig11b, variants: []TableVariant{
+		{Name: "hashed-multi", New: variantHashedMulti},
+		{Name: "hashed-spindex", New: func(m memcost.Model) pagetable.PageTable {
+			return hashed.MustNewSPIndex(hashed.Config{CostModel: m}, 4)
+		}},
+		{Name: "clustered", New: variantClustered},
+	}, refill: 2}
+}
+
 // SPIndexSweep runs one workload's superpage-TLB miss stream against the
 // three organizations.
 func SPIndexSweep(p trace.Profile, cfg AccessConfig) (SPIndexRow, error) {
 	cfg.fill()
 	row := SPIndexRow{Workload: p.Name}
-
-	type variant struct {
-		name string
-		mk   func(memcost.Model) pagetable.PageTable
-		dst  *float64
-	}
-	variants := []variant{
-		{"hashed-multi", variantHashedMulti, &row.MultiLines},
-		{"hashed-spindex", func(m memcost.Model) pagetable.PageTable {
-			return hashed.MustNewSPIndex(hashed.Config{CostModel: m}, 4)
-		}, &row.SPIndexLines},
-		{"clustered", variantClustered, &row.ClusteredLines},
-	}
-
-	snaps := p.Snapshot()
-	for _, v := range variants {
-		var lines, misses uint64
-		for pi, snap := range snaps {
-			refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
-			if refs == 0 {
-				continue
-			}
-			build, err := BuildProcess(TableVariant{Name: v.name, New: v.mk}, WithSuperpages, snap, cfg.LineModel)
-			if err != nil {
-				return row, err
-			}
-			canon, err := BuildProcess(TableVariant{Name: "clustered", New: variantClustered}, WithSuperpages, snap, cfg.LineModel)
-			if err != nil {
-				return row, err
-			}
-			t := tlb.MustNew(tlb.Config{Kind: tlb.Superpage, Entries: cfg.Entries})
-			gen := trace.NewGenerator(snap, cfg.Seed*31+1)
-			err = replay(gen, cfg.Buf, refs, func(va addr.V) error {
-				if t.Access(va).Hit {
-					return nil
-				}
-				misses++
-				_, cost, ok := build.Table.Lookup(va)
-				if !ok {
-					return fmt.Errorf("sim: %s lost %v", v.name, va)
-				}
-				lines += uint64(cost.Lines)
-				e, _, ok := canon.Table.Lookup(va)
-				if !ok {
-					return fmt.Errorf("sim: canon lost %v", va)
-				}
-				t.Insert(e)
-				return nil
-			})
-			if err != nil {
-				return row, err
-			}
-			if sp, ok := build.Table.(*hashed.SPIndexTable); ok {
-				if _, maxChain := sp.ChainStats(); maxChain > row.SPIndexMaxChain {
-					row.SPIndexMaxChain = maxChain
-				}
+	res, err := replayWorkload(spIndexKernel(), p, cfg, []MMUConfig{{}}, func(_ int, st *figureState) missHook {
+		// Chain lengths are structural: the build fixes them.
+		if sp, ok := st.builds[1].Table.(*hashed.SPIndexTable); ok {
+			if _, maxChain := sp.ChainStats(); maxChain > row.SPIndexMaxChain {
+				row.SPIndexMaxChain = maxChain
 			}
 		}
-		if misses > 0 {
-			*v.dst = float64(lines) / float64(misses)
-		}
+		return nil
+	})
+	if err != nil {
+		return row, err
+	}
+	if res.misses > 0 {
+		lines := &res.lines[0]
+		row.MultiLines = float64(lines[0]) / float64(res.misses)
+		row.SPIndexLines = float64(lines[1]) / float64(res.misses)
+		row.ClusteredLines = float64(lines[2]) / float64(res.misses)
 	}
 	return row, nil
 }

@@ -1,12 +1,12 @@
 package sim
 
-// Replay stages. One process's Figure 11 replay interleaves three
-// independent state machines per reference, and runProcess runs them
+// Replay stages. One process's kernel replay interleaves three
+// independent state machines per reference, and replayProcess runs them
 // inline, in stream order:
 //
 //   - refStage: the shared reference TLB's miss service. It probes
 //     every pipeline's L2 TLB, refills the reference TLB from the
-//     canonical table's refill words, fills the L2s and probes the
+//     refill variant's words, fills the L2s and probes the
 //     page-walk caches of the pipelines that walk, and packs each miss's
 //     outcome into a miss record.
 //   - walkLane: the read-only variant walks. It turns a miss record
@@ -21,8 +21,8 @@ package sim
 // No stage walks a page table: every walk happened once per page (and
 // Fig11d block) when the walk-cost table was built.
 //
-// walkLane and linLane charge disjoint accounting classes (the
-// non-reserved variants and the linear ones), so runProcess merges
+// walkLane and linLane charge disjoint variant positions (the
+// non-reserved variants and the linear ones), so replayProcess merges
 // their per-pipeline accumulators with plain uint64 adds. DESIGN.md
 // §10 states the contract.
 
@@ -57,11 +57,9 @@ func missPWCHit(t int) addr.V { return 1 << (2 + 2*t) }
 
 // refStage services the reference TLB's misses. It refills from the
 // canonical build's refill words (walkTable.canon), decoding one word
-// per page; the canonical walk's cost is never charged (only the
-// variant walks are). Block refills decode into buf, reused from miss
-// to miss.
+// per page; walkLane charges the walks. Block refills decode into buf,
+// reused from miss to miss.
 type refStage struct {
-	f     Figure
 	st    *figureState
 	canon *refills
 	buf   []pte.Entry
@@ -70,7 +68,7 @@ type refStage struct {
 // service handles one reference-TLB miss and returns its miss record.
 // Every pipeline's L2 is probed first; an L2 hit refills the L1 with the
 // base page and skips that pipeline's walk. If any pipeline walks, the
-// L1 is refilled from the canonical (clustered) build, and each walking
+// L1 is refilled from the canonical build, and each walking
 // pipeline fills its L2 with the same entries and probes its page-walk
 // cache. With one pipeline that is exactly its serial miss path; with
 // several, checkPipelines guarantees both refills carry the same tag.
@@ -94,7 +92,7 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 	var e pte.Entry
 	var entries []pte.Entry
 	var err error
-	block := r.f == Fig11d && !res.SubblockMiss
+	block := st.fig == Fig11d && !res.SubblockMiss
 	if block {
 		// Block miss with prefetch: refill the whole block (§4.4).
 		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
@@ -130,14 +128,12 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 	return rec, nil
 }
 
-// addCostElided merges one walk with the walk-cached class's upper
-// levels elided — the pure-arithmetic form of a page-walk-cache hit
-// (walkcache.ElideLines). Classes are unique per variant
-// (newFigureState validates), so the elision touches only the
-// tree-walked variant's lines.
-func (lc *lineCounts) addCostElided(c *walkCost, cls LineClass, upper uint32) {
+// addCostElided merges one walk with the upper levels of the walk-cached
+// variant at position pwc elided — the pure-arithmetic form of a
+// page-walk-cache hit (walkcache.ElideLines).
+func (lc *lineCounts) addCostElided(c *walkCost, pwc int, upper uint32) {
 	for i := range lc {
-		if LineClass(i) == cls {
+		if i == pwc {
 			lc[i] += uint64(walkcache.ElideLines(int(c[i]), int(upper)))
 		} else {
 			lc[i] += uint64(c[i])
@@ -153,10 +149,10 @@ type walkLane struct {
 	costs *walkTable
 	lines []lineCounts // per pipeline
 	// probe[t] (nil when pipeline t is flat) is the constant per-miss L2
-	// probe charge: l2ProbeLines for every non-reserved variant class.
-	// pwcClass and pwcUpper drive the elided merge on PWC-hit records.
+	// probe charge: l2ProbeLines for every non-reserved variant.
+	// pwcIdx and pwcUpper drive the elided merge on PWC-hit records.
 	probe    []*walkCost
-	pwcClass LineClass
+	pwcIdx   int
 	pwcUpper uint32
 }
 
@@ -167,9 +163,9 @@ func newWalkLane(st *figureState, costs *walkTable) *walkLane {
 		probe: make([]*walkCost, len(st.tails)),
 	}
 	probe := new(walkCost)
-	for _, v := range st.variants {
+	for i, v := range st.variants {
 		if v.ReservedTLB == 0 {
-			probe[v.Class] += l2ProbeLines
+			probe[i] = l2ProbeLines
 		}
 	}
 	for t, tl := range st.tails {
@@ -177,10 +173,7 @@ func newWalkLane(st *figureState, costs *walkTable) *walkLane {
 			w.probe[t] = probe
 		}
 	}
-	if st.pwcIdx >= 0 {
-		w.pwcClass = st.variants[st.pwcIdx].Class
-		w.pwcUpper = uint32(st.pwcUpper)
-	}
+	w.pwcIdx, w.pwcUpper = st.pwcIdx, uint32(st.pwcUpper)
 	return w
 }
 
@@ -202,7 +195,7 @@ func (w *walkLane) charge(rec addr.V) error {
 			}
 		}
 		if rec&missPWCHit(t) != 0 {
-			w.lines[t].addCostElided(c, w.pwcClass, w.pwcUpper)
+			w.lines[t].addCostElided(c, w.pwcIdx, w.pwcUpper)
 		} else {
 			w.lines[t].addCost(c)
 		}
@@ -216,7 +209,7 @@ func (w *walkLane) charge(rec addr.V) error {
 // lines it charges; block refills decode into buf, reused from miss to
 // miss.
 type linLane struct {
-	f       Figure
+	fig     Figure
 	lins    []*linState
 	refills []refills // index-aligned with lins
 	tails   []*tailState
@@ -225,9 +218,9 @@ type linLane struct {
 	buf     []pte.Entry
 }
 
-func newLinLane(f Figure, st *figureState, costs *walkTable) *linLane {
+func newLinLane(st *figureState, costs *walkTable) *linLane {
 	return &linLane{
-		f: f, lins: st.lins, refills: costs.lins, tails: st.tails,
+		fig: st.fig, lins: st.lins, refills: costs.lins, tails: st.tails,
 		lines:  make([]lineCounts, len(st.tails)),
 		nested: make([]uint64, len(st.tails)),
 	}
@@ -261,7 +254,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 	for t, tl := range l.tails {
 		lt := &tl.lins[li]
 		if lt.l2 != nil {
-			l.lines[t][ls.class] += l2ProbeLines
+			l.lines[t][ls.idx] += l2ProbeLines
 			if lt.l2.Access(va).Hit {
 				hits |= 1 << t
 				continue
@@ -280,7 +273,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 	var entries []pte.Entry
 	var lines uint32
 	var err error
-	block := l.f == Fig11d && !res.SubblockMiss
+	block := l.fig == Fig11d && !res.SubblockMiss
 	if block {
 		// Block miss with prefetch: the block's PTEs are adjacent in the
 		// PTE array.
@@ -305,7 +298,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 			continue
 		}
 		lt := &tl.lins[li]
-		l.lines[t][ls.class] += uint64(lines)
+		l.lines[t][ls.idx] += uint64(lines)
 		if lt.l2 != nil {
 			if block {
 				for _, be := range entries {
@@ -322,7 +315,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 				// final directory line is read (ElideLines(upper, upper)).
 				w = 1
 			}
-			l.lines[t][ls.class] += w
+			l.lines[t][ls.idx] += w
 			lt.pt.Insert(pteForLeaf(vpn))
 			l.nested[t]++
 		}

@@ -8,7 +8,6 @@ import (
 	"clusterpt/internal/hashed"
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
-	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
 
@@ -154,61 +153,30 @@ type SearchOrderRow struct {
 	SuperFirstLines float64
 }
 
+// searchOrderKernel replays Figure 11c's partial-subblock miss stream
+// over the hashed multi-table in both probe orders, refilled from the
+// clustered table.
+func searchOrderKernel() kernel {
+	return kernel{fig: Fig11c, variants: []TableVariant{
+		{Name: "base-first", New: variantHashedMulti},
+		{Name: "super-first", New: variantHashedMultiSuperFirst},
+		{Name: "clustered", New: variantClustered},
+	}, refill: 2}
+}
+
 // SearchOrderSweep runs Figure 11c's hashed multi-table in both probe
 // orders. "Doing the page traversals in the reverse order … would be a
 // better option" for psb-heavy workloads (§6.3).
 func SearchOrderSweep(p trace.Profile, cfg AccessConfig) (SearchOrderRow, error) {
 	cfg.fill()
 	row := SearchOrderRow{Workload: p.Name}
-	for _, order := range []struct {
-		name string
-		mk   func(memcost.Model) pagetable.PageTable
-		dst  *float64
-	}{
-		{"base-first", variantHashedMulti, &row.BaseFirstLines},
-		{"super-first", variantHashedMultiSuperFirst, &row.SuperFirstLines},
-	} {
-		var lines, misses uint64
-		snaps := p.Snapshot()
-		for pi, snap := range snaps {
-			refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
-			if refs == 0 {
-				continue
-			}
-			build, err := BuildProcess(TableVariant{Name: order.name, New: order.mk}, WithPartial, snap, cfg.LineModel)
-			if err != nil {
-				return row, err
-			}
-			canon, err := BuildProcess(TableVariant{Name: "clustered", New: variantClustered}, WithPartial, snap, cfg.LineModel)
-			if err != nil {
-				return row, err
-			}
-			t := tlb.MustNew(tlb.Config{Kind: tlb.PartialSubblock, Entries: cfg.Entries})
-			gen := trace.NewGenerator(snap, cfg.Seed*31+1)
-			err = replay(gen, cfg.Buf, refs, func(va addr.V) error {
-				if t.Access(va).Hit {
-					return nil
-				}
-				misses++
-				_, cost, ok := build.Table.Lookup(va)
-				if !ok {
-					return fmt.Errorf("sweep lost %v", va)
-				}
-				lines += uint64(cost.Lines)
-				e, _, ok := canon.Table.Lookup(va)
-				if !ok {
-					return fmt.Errorf("canon lost %v", va)
-				}
-				t.Insert(e)
-				return nil
-			})
-			if err != nil {
-				return row, err
-			}
-		}
-		if misses > 0 {
-			*order.dst = float64(lines) / float64(misses)
-		}
+	res, err := replayWorkload(searchOrderKernel(), p, cfg, []MMUConfig{{}}, nil)
+	if err != nil {
+		return row, err
+	}
+	if res.misses > 0 {
+		row.BaseFirstLines = float64(res.lines[0][0]) / float64(res.misses)
+		row.SuperFirstLines = float64(res.lines[0][1]) / float64(res.misses)
 	}
 	return row, nil
 }

@@ -1,11 +1,7 @@
 package sim
 
 import (
-	"fmt"
-
-	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
-	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
 
@@ -69,54 +65,54 @@ func RunTable1(profiles []trace.Profile, cfg Table1Config) ([]Table1Row, error) 
 	return rows, nil
 }
 
+// table1Kernel replays the base-case miss stream: a single-page-size
+// TLB over the hashed table, which refills it.
+func table1Kernel() kernel {
+	return kernel{fig: Fig11a, variants: []TableVariant{{Name: "hashed", New: variantHashed}}}
+}
+
 // RunTable1Row characterizes a single workload — one schedulable cell of
 // the Table 1 experiment.
 func RunTable1Row(p trace.Profile, cfg Table1Config) (Table1Row, error) {
 	cfg.fill()
 	m := memcost.NewModel(0)
 	row := Table1Row{Workload: p.Name, Paper: p.Paper}
+	k := table1Kernel()
 
-	builds, err := BuildWorkload(TableVariant{Name: "hashed", New: variantHashed}, BaseOnly, p, m)
-	if err != nil {
-		return row, err
-	}
-	row.HashedKB = float64(WorkloadPTEBytes(builds)) / 1024
-
+	// The footprint sums every process's table: the kernel's build for a
+	// replayed process, a fresh one for the rest.
+	ptes := make([]uint64, len(p.Procs)) // 0 until built
 	if !p.SnapshotOnly {
-		snaps := p.Snapshot()
-		for pi, snap := range snaps {
-			refs := int(float64(cfg.Refs) * p.Procs[pi].RefShare)
-			if refs == 0 {
-				continue
-			}
-			t := tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: 64})
-			gen := trace.NewGenerator(snap, cfg.Seed*31+1)
-			pt := builds[pi].Table
-			err := replay(gen, cfg.Buf, refs, func(va addr.V) error {
-				if !t.Access(va).Hit {
-					e, _, ok := pt.Lookup(va)
-					if !ok {
-						return fmt.Errorf("sim: %s/%s lost %v", p.Name, snap.Name, va)
-					}
-					t.Insert(e)
-				}
+		res, err := replayWorkload(k, p, AccessConfig{Refs: cfg.Refs, Entries: 64, LineModel: m, Seed: cfg.Seed, Buf: cfg.Buf},
+			[]MMUConfig{{}}, func(pi int, st *figureState) missHook {
+				ptes[pi] = st.builds[0].Table.Size().PTEBytes
 				return nil
 			})
-			if err != nil {
-				return row, err
-			}
-			st := t.Stats()
-			// Each trace step stands for Dwell same-page references;
-			// the extra references are guaranteed hits on a
-			// fully-associative TLB, so only the denominator scales.
-			row.Accesses += st.Accesses * p.DwellOrOne()
-			row.Misses += st.Misses
+		if err != nil {
+			return row, err
 		}
+		// Each trace step stands for Dwell same-page references; the
+		// extra references are guaranteed hits on a fully-associative
+		// TLB, so only the denominator scales.
+		row.Accesses = res.accesses * p.DwellOrOne()
+		row.Misses = res.misses
 		if row.Accesses > 0 {
 			row.MissRatio = float64(row.Misses) / float64(row.Accesses)
 			missCycles := float64(row.Misses) * cfg.MissPenalty
 			row.PctTLBTime = 100 * missCycles / (float64(row.Accesses) + missCycles)
 		}
 	}
+	var total uint64
+	for pi, snap := range p.Snapshot() {
+		if ptes[pi] == 0 {
+			b, err := BuildProcess(k.variants[0], BaseOnly, snap, m)
+			if err != nil {
+				return row, err
+			}
+			ptes[pi] = b.Table.Size().PTEBytes
+		}
+		total += ptes[pi]
+	}
+	row.HashedKB = float64(total) / 1024
 	return row, nil
 }

@@ -1,15 +1,16 @@
 package sim
 
-// The walk-cost table. Figure 11's metric (§6.1) is the cache lines a
-// page-table walk touches, and over immutable built tables that count
-// is a pure function of the page walked and the organization walking
-// it. So before replay starts, runProcess walks every mapped page once
-// in every variant — and, under Fig11d, gathers every block holding a
-// mapped page once — and walkLane charges every miss from the resulting
-// dense, read-only table. The same walks pack the refill entries of the
-// tables that refill a TLB (the canonical clustered build and each
-// linear build) into their 8-byte mapping words, so refStage and
-// linLane refill by decoding a word instead of walking per miss.
+// The walk-cost table. The §6.1 metric is the cache lines a page-table
+// walk touches, and over immutable built tables that count is a pure
+// function of the page walked and the organization walking it. So
+// before replay starts, replayWorkload walks every mapped page once in
+// every variant of its kernel — and, under Fig11d, gathers every block
+// holding a mapped page once — and walkLane charges every miss from the
+// resulting dense, read-only table. The same walks pack the refill
+// entries of the tables that refill a TLB (the kernel's refill variant,
+// the canonical build, and each linear build) into their 8-byte mapping
+// words, so refStage and linLane refill by decoding a word instead of
+// walking per miss.
 
 import (
 	"fmt"
@@ -21,10 +22,25 @@ import (
 	"clusterpt/internal/trace"
 )
 
-// walkCost is one variant walk set for a page (or block): lines touched
-// per accounting class. uint32 suffices — a single walk touches at most
-// a few hundred lines.
-type walkCost [numLineClasses]uint32
+// maxVariants bounds a kernel's variant list: walk costs and line
+// counts are fixed arrays indexed by variant position, so the replay hot
+// path adds arrays instead of keying by name.
+const maxVariants = 4
+
+// walkCost is one page's (or block's) walks: lines touched per variant
+// position. uint32 suffices — a single walk touches at most a few
+// hundred lines.
+type walkCost [maxVariants]uint32
+
+// lineCounts accumulates lines touched per variant position.
+type lineCounts [maxVariants]uint64
+
+// add merges another accumulator in.
+func (lc *lineCounts) add(o *lineCounts) {
+	for i := range lc {
+		lc[i] += o[i]
+	}
+}
 
 // addCost merges one walk into the accumulator.
 func (lc *lineCounts) addCost(c *walkCost) {
@@ -47,8 +63,9 @@ type walkTable struct {
 	// first names the first walked variant: the one a per-miss walk
 	// would have reported losing a page the table does not hold.
 	first string
-	// canon refills the reference TLB; lins refill each linear variant's
-	// main TLB, index-aligned with figureState.lins.
+	// canon refills the reference TLB from the kernel's refill variant;
+	// lins refill each linear variant's main TLB, index-aligned with
+	// figureState.lins.
 	canon refills
 	lins  []refills
 }
@@ -72,7 +89,7 @@ type refills struct {
 	words   []pte.Word
 	// lines and blockLines are a linear build's walk lines per page slot
 	// and per Fig11d block slot, the only walk costs linLane charges. Nil
-	// for the canonical build, whose walk is never charged.
+	// for the canonical build, whose walk the page costs hold.
 	lines      []uint32
 	blockLines []uint32
 	// lost names the table in "lost vpn/block" errors.
@@ -92,14 +109,14 @@ func refillEntry(w pte.Word, vpn addr.VPN) pte.Entry {
 
 // newWalkTable walks the snapshot's mapped pages in every variant of
 // st: the non-reserved variants into the walk costs, the linear ones
-// into their refill stores, and the canonical build into both. Under
+// into their refill stores, and the refill variant into both. Under
 // Fig11d it also gathers each block holding a mapped page through
 // AppendBlock. A variant that loses a mapped page, or cannot gather its
 // block, fails the build, and so does a refill store that does not
 // reproduce its table: every stored word must decode back to the page's
 // Lookup entry, and every Fig11d block the words rebuild must equal
 // AppendBlock's gather, entry for entry and in order.
-func newWalkTable(f Figure, st *figureState, snap trace.ProcessSnapshot) (*walkTable, error) {
+func newWalkTable(st *figureState, snap trace.ProcessSnapshot) (*walkTable, error) {
 	t := &walkTable{regions: make([]costRegion, len(snap.Regions))}
 	var nPages, nBlocks int
 	for i, pr := range snap.Regions {
@@ -111,7 +128,7 @@ func newWalkTable(f Figure, st *figureState, snap trace.ProcessSnapshot) (*walkT
 		nBlocks += int(bn-b0) + 1
 	}
 	t.pages = make([]walkCost, nPages)
-	if f == Fig11d {
+	if st.fig == Fig11d {
 		t.blocks = make([]walkCost, nBlocks)
 	}
 	newRefills := func(lost string) refills {
@@ -143,12 +160,12 @@ func newWalkTable(f Figure, st *figureState, snap trace.ProcessSnapshot) (*walkT
 			t.first = v.Name
 		}
 		var s *refills
-		if table == st.canonical {
+		if i == st.refill {
 			s = &t.canon
 		}
 		err := t.walk(v.Name, table, snap, s,
-			func(slot int, lines uint32) { t.pages[slot][v.Class] += lines },
-			func(bslot int, lines uint32) { t.blocks[bslot][v.Class] += lines })
+			func(slot int, lines uint32) { t.pages[slot][i] = lines },
+			func(bslot int, lines uint32) { t.blocks[bslot][i] = lines })
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,10 @@ package sim
 // The walk-cost table against the per-miss walks it replaced. refWalks
 // is that replaced code, kept here as the test-only reference: it
 // walks every non-reserved variant for one page or block on every
-// call, exactly as the walk lanes once did per miss. The refill stores
-// are checked against the Lookup and AppendBlock calls refStage and
+// call, exactly as the walk lanes once did per miss. refReplay is the
+// per-miss replay loop table1, the sweeps, residency and swtlb each
+// once kept, kept once as the kernel's oracle. The refill stores are
+// checked against the Lookup and AppendBlock calls refStage and
 // linLane once made per miss.
 
 import (
@@ -16,6 +18,7 @@ import (
 	"clusterpt/internal/addr"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
+	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
 
@@ -23,7 +26,7 @@ import (
 type variantWalk struct {
 	name  string
 	table pagetable.PageTable
-	class LineClass
+	idx   int // the variant's position
 }
 
 // refWalks is the per-miss reference walker.
@@ -32,11 +35,13 @@ type refWalks struct {
 	buf   []pte.Entry
 }
 
-func newRefWalks(st *figureState) *refWalks {
+// newRefWalks walks the non-reserved variants, index-aligned with
+// builds.
+func newRefWalks(variants []TableVariant, builds []*Build) *refWalks {
 	w := &refWalks{}
-	for i, v := range st.variants {
+	for i, v := range variants {
 		if v.ReservedTLB == 0 {
-			w.walks = append(w.walks, variantWalk{name: v.Name, table: st.builds[i].Table, class: v.Class})
+			w.walks = append(w.walks, variantWalk{name: v.Name, table: builds[i].Table, idx: i})
 		}
 	}
 	return w
@@ -49,7 +54,7 @@ func (w *refWalks) walkPage(va addr.V, c *walkCost) error {
 		if !ok {
 			return fmt.Errorf("variant %q lost vpn %#x", v.name, uint64(addr.VPNOf(va)))
 		}
-		c[v.class] += uint32(cost.Lines)
+		c[v.idx] += uint32(cost.Lines)
 	}
 	return nil
 }
@@ -68,7 +73,7 @@ func (w *refWalks) walkBlock(vpbn addr.VPBN, c *walkCost) error {
 		if !found {
 			return fmt.Errorf("variant %q lost block %#x", v.name, uint64(vpbn))
 		}
-		c[v.class] += uint32(cost.Lines)
+		c[v.idx] += uint32(cost.Lines)
 	}
 	return nil
 }
@@ -93,11 +98,11 @@ func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/%v", name, snap.Name, f)
 				cfg := AccessConfig{}
 				cfg.fill()
-				st, err := newFigureState(f, snap, cfg, []MMUConfig{{}})
+				st, err := newFigureState(figureKernel(f), snap, cfg, []MMUConfig{{}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := newRefWalks(st)
+				ref := newRefWalks(st.variants, st.builds)
 				before := make([]uint64, len(st.builds))
 				for i, b := range st.builds {
 					before[i] = b.Table.Stats().Lookups
@@ -111,13 +116,13 @@ func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
 						}
 					}
 				}
-				costs, err := newWalkTable(f, st, snap)
+				costs, err := newWalkTable(st, snap)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				checkLookups("building the table")
 				if !p.SnapshotOnly {
-					res, err := replayProcess(f, st, costs, snap, 20_000, cfg)
+					res, err := replayProcess(st, costs, snap, 20_000, cfg, nil)
 					if err != nil || res.misses == 0 {
 						t.Fatalf("%s: replay: %d misses, %v", label, res.misses, err)
 					}
@@ -181,6 +186,129 @@ func TestWalkCostTableMatchesPerMissWalks(t *testing.T) {
 	}
 }
 
+// refMiss is one miss of a replay: the references replayed so far,
+// this one included, and every variant's walk lines.
+type refMiss struct {
+	refs int
+	cost walkCost
+}
+
+// refReplay is the per-miss reference replay: every reference goes to a
+// TLB of the kernel's kind, and every miss looks the page up in each
+// variant's own build, charging each walk's lines at the variant's
+// position, then refills the TLB with the refill variant's Lookup
+// entry. It replays no reserved-TLB variant.
+func refReplay(k kernel, snap trace.ProcessSnapshot, refs int, cfg AccessConfig) ([]refMiss, error) {
+	builds := make([]*Build, len(k.variants))
+	for i, v := range k.variants {
+		if v.ReservedTLB > 0 {
+			return nil, fmt.Errorf("reserved-TLB variant %q", v.Name)
+		}
+		var err error
+		if builds[i], err = BuildProcess(v, k.fig.Mode(), snap, cfg.LineModel); err != nil {
+			return nil, err
+		}
+	}
+	walks := newRefWalks(k.variants, builds)
+	t := tlb.MustNew(tlb.Config{Kind: k.fig.TLBKind(), Entries: cfg.Entries})
+	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
+	var misses []refMiss
+	n := 0
+	err := replay(gen, nil, refs, func(va addr.V) error {
+		n++
+		if t.Access(va).Hit {
+			return nil
+		}
+		m := refMiss{refs: n}
+		if err := walks.walkPage(va, &m.cost); err != nil {
+			return err
+		}
+		misses = append(misses, m)
+		e, _, ok := builds[k.refill].Table.Lookup(va)
+		if !ok {
+			return fmt.Errorf("refill variant lost %v", va)
+		}
+		t.Insert(e)
+		return nil
+	})
+	return misses, err
+}
+
+// TestKernelMatchesPerMissReplay pins every kernel that replaced a
+// private per-miss loop — table1, the probe-order and superpage-index
+// sweeps, swtlb over each raw table, and residency — against refReplay,
+// process by process at two seeds: the misses, every variant's lines,
+// and what the miss hook sees (reference count and walk costs, miss by
+// miss) must be equal. A whole kernel replay must look up each mapped
+// page exactly once per variant, all of it while building the walk-cost
+// table.
+func TestKernelMatchesPerMissReplay(t *testing.T) {
+	kernels := map[string]kernel{
+		"table1":       table1Kernel(),
+		"search-order": searchOrderKernel(),
+		"sp-index":     spIndexKernel(),
+		"residency":    residencyKernel(),
+	}
+	for _, name := range []string{"forward-mapped", "hashed", "clustered"} {
+		k, err := swtlbKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels["swtlb/"+name] = k
+	}
+	for kname, k := range kernels {
+		for _, w := range []string{"gcc", "pthor", "coral"} {
+			for _, seed := range []uint64{1, 7} {
+				cfg := AccessConfig{Seed: seed}
+				cfg.fill()
+				for _, snap := range profile(t, w).Snapshot() {
+					label := fmt.Sprintf("%s/%s/%s/seed %d", kname, w, snap.Name, seed)
+					const refs = 20_000
+					want, err := refReplay(k, snap, refs, cfg)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					var wantLines lineCounts
+					for i := range want {
+						wantLines.addCost(&want[i].cost)
+					}
+
+					st, err := newFigureState(k, snap, cfg, []MMUConfig{{}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					costs, err := newWalkTable(st, snap)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					var got []refMiss
+					res, err := replayProcess(st, costs, snap, refs, cfg, func(n int, _ addr.V, c *walkCost) error {
+						got = append(got, refMiss{refs: n, cost: *c})
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for i, b := range st.builds {
+						if n := b.Table.Stats().Lookups; n != snap.MappedPages() {
+							t.Errorf("%s: %s ran %d lookups, want one per mapped page (%d)",
+								label, st.variants[i].Name, n, snap.MappedPages())
+						}
+					}
+					if res.misses != uint64(len(want)) || res.lines[0] != wantLines {
+						t.Errorf("%s: kernel %d misses, lines %v; per-miss replay %d, %v",
+							label, res.misses, res.lines[0], len(want), wantLines)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: the miss hook saw %d misses unlike the per-miss replay's %d",
+							label, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWalkCostTableLostPage pins the build-time error: a snapshot page
 // the built tables do not map fails the table build with the lost-page
 // error rather than leaving a zero slot behind.
@@ -189,7 +317,7 @@ func TestWalkCostTableLostPage(t *testing.T) {
 	for _, f := range []Figure{Fig11a, Fig11d} {
 		cfg := AccessConfig{}
 		cfg.fill()
-		st, err := newFigureState(f, snap, cfg, []MMUConfig{{}})
+		st, err := newFigureState(figureKernel(f), snap, cfg, []MMUConfig{{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +337,7 @@ func TestWalkCostTableLostPage(t *testing.T) {
 		if lost.MappedPages() != snap.MappedPages()+1 {
 			t.Fatal("pthor: no hole inside any region")
 		}
-		if _, err := newWalkTable(f, st, lost); err == nil || !strings.Contains(err.Error(), "lost vpn") {
+		if _, err := newWalkTable(st, lost); err == nil || !strings.Contains(err.Error(), "lost vpn") {
 			t.Errorf("%v: building over an unmapped page: err = %v, want a lost vpn error", f, err)
 		}
 	}
@@ -228,11 +356,11 @@ func TestRefillWordsMatchLookups(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/%v", name, snap.Name, f)
 				cfg := AccessConfig{}
 				cfg.fill()
-				st, err := newFigureState(f, snap, cfg, []MMUConfig{{}})
+				st, err := newFigureState(figureKernel(f), snap, cfg, []MMUConfig{{}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				costs, err := newWalkTable(f, st, snap)
+				costs, err := newWalkTable(st, snap)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -240,7 +368,7 @@ func TestRefillWordsMatchLookups(t *testing.T) {
 					t.Fatalf("%s: %d linear stores for %d linear variants", label, len(costs.lins), len(st.lins))
 				}
 				stores := []*refills{&costs.canon}
-				tables := []pagetable.PageTable{st.canonical}
+				tables := []pagetable.PageTable{st.builds[st.refill].Table}
 				for i, v := range st.variants {
 					if v.ReservedTLB > 0 {
 						stores = append(stores, &costs.lins[len(tables)-1])
