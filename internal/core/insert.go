@@ -30,7 +30,7 @@ func (t *Table) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 			continue
 		}
 		if _, _, covers := nd.wordAt(boff); covers {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 		switch nd.kind {
 		case nodeFull:
@@ -177,8 +177,7 @@ func (t *Table) checkBlockFree(b *bucket, vpbn addr.VPBN, mask uint64) error {
 				continue
 			}
 			if _, _, covers := nd.wordAt(boff); covers {
-				return fmt.Errorf("%w: block %#x offset %d",
-					pagetable.ErrAlreadyMapped, uint64(vpbn), boff)
+				return pagetable.ErrAlreadyMapped
 			}
 		}
 	}

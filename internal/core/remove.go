@@ -40,7 +40,7 @@ func (t *Table) Unmap(vpn addr.VPN) error {
 		t.noteRemove()
 		return nil
 	}
-	return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+	return pagetable.ErrNotMapped
 }
 
 // removeAt clears block offset boff in node nd, demoting compact formats
@@ -158,7 +158,7 @@ func (t *Table) unmapSubBlockSuperpage(vpn addr.VPN, size addr.Size, pages uint6
 			n.words[boff].Size() == size
 	})
 	if nd == nil {
-		return fmt.Errorf("%w: no %v superpage at vpn %#x", pagetable.ErrNotMapped, size, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	for i := uint64(0); i < pages; i++ {
 		nd.words[boff+i] = pte.Invalid
@@ -188,8 +188,7 @@ func (t *Table) unmapBlockSuperpage(vpn addr.VPN, size addr.Size, blocks uint64)
 		})
 		b.mu.Unlock()
 		if nd == nil {
-			return fmt.Errorf("%w: no %v superpage replica at block %#x",
-				pagetable.ErrNotMapped, size, uint64(vpbn))
+			return pagetable.ErrNotMapped
 		}
 	}
 	for i := uint64(0); i < blocks; i++ {

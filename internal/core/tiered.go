@@ -117,7 +117,7 @@ func (t *Tiered) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 // tier.
 func (t *Tiered) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	if _, _, ok := t.coarse.lookup(addr.VAOf(vpn)); ok {
-		return fmt.Errorf("%w: vpn %#x covered by a large superpage", pagetable.ErrAlreadyMapped, uint64(vpn))
+		return pagetable.ErrAlreadyMapped
 	}
 	return t.fine.Map(vpn, ppn, attr)
 }
@@ -293,7 +293,7 @@ func (c *coarseTable) mapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, si
 		nd := c.findFull(b, block)
 		if nd == nil {
 			if c.hasCompact(b, block) {
-				return fmt.Errorf("%w: block %#x holds a 1MB+ superpage", pagetable.ErrAlreadyMapped, block)
+				return pagetable.ErrAlreadyMapped
 			}
 			nd = c.allocNode(block, false, coarseSlots)
 			nd.next, b.head = b.head, nd
@@ -301,7 +301,7 @@ func (c *coarseTable) mapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, si
 		}
 		for i := uint64(0); i < units; i++ {
 			if nd.words[unit+i].Valid() {
-				return fmt.Errorf("%w: unit %d of block %#x", pagetable.ErrAlreadyMapped, unit+i, block)
+				return pagetable.ErrAlreadyMapped
 			}
 		}
 		for i := uint64(0); i < units; i++ {
@@ -321,7 +321,7 @@ func (c *coarseTable) mapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, si
 		if c.findFull(b, block) != nil || c.hasCompact(b, block) {
 			b.mu.Unlock()
 			c.rollback(inserted)
-			return fmt.Errorf("%w: block %#x occupied", pagetable.ErrAlreadyMapped, block)
+			return pagetable.ErrAlreadyMapped
 		}
 		nd := c.allocNode(block, true, 1)
 		nd.words[0] = word
@@ -346,7 +346,7 @@ func (c *coarseTable) unmapSuperpage(vpn addr.VPN, size addr.Size) error {
 		defer b.mu.Unlock()
 		nd := c.findFull(b, block)
 		if nd == nil || !nd.words[unit].Valid() || nd.words[unit].Size() != size {
-			return fmt.Errorf("%w: no %v superpage at vpn %#x", pagetable.ErrNotMapped, size, uint64(vpn))
+			return pagetable.ErrNotMapped
 		}
 		for i := uint64(0); i < units; i++ {
 			nd.words[unit+i] = pte.Invalid
@@ -375,7 +375,7 @@ func (c *coarseTable) unmapSuperpage(vpn addr.VPN, size addr.Size) error {
 		}
 		b.mu.Unlock()
 		if !found {
-			return fmt.Errorf("%w: no %v replica at block %#x", pagetable.ErrNotMapped, size, block)
+			return pagetable.ErrNotMapped
 		}
 	}
 	c.account(0, -int64(blocks), -int64(pages))

@@ -226,11 +226,16 @@ func (t *Table) lookupLocked(vpn addr.VPN) (pte.Entry, pagetable.WalkCost, bool)
 	return pte.Entry{}, cost, false
 }
 
-// walkTo returns the node path from the root to the leaf covering vpn,
-// allocating missing nodes when create is set. Caller holds the write
-// lock. It fails if an intermediate superpage PTE already covers vpn.
-func (t *Table) walkTo(vpn addr.VPN, create bool) ([]*fnode, error) {
-	path := make([]*fnode, 0, len(t.cfg.LevelBits))
+// maxLevels bounds the tree depth: every level consumes at least one VPN
+// bit. A walk's node path fits a [maxLevels]*fnode buffer on the
+// caller's stack.
+const maxLevels = addr.VPNBits
+
+// walkTo appends to path the nodes from the root to the leaf covering
+// vpn, allocating missing nodes when create is set. Caller holds the
+// write lock. It fails if an intermediate superpage PTE already covers
+// vpn.
+func (t *Table) walkTo(path []*fnode, vpn addr.VPN, create bool) ([]*fnode, error) {
 	nd := t.root
 	for lvl := 0; ; lvl++ {
 		path = append(path, nd)
@@ -239,12 +244,11 @@ func (t *Table) walkTo(vpn addr.VPN, create bool) ([]*fnode, error) {
 		}
 		ent := &nd.entries[t.slot(vpn, lvl)]
 		if ent.word.Valid() {
-			return nil, fmt.Errorf("%w: vpn %#x covered by level-%d superpage",
-				pagetable.ErrAlreadyMapped, uint64(vpn), lvl)
+			return nil, pagetable.ErrAlreadyMapped
 		}
 		if ent.child == nil {
 			if !create {
-				return nil, fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+				return nil, pagetable.ErrNotMapped
 			}
 			ent.child = t.newNode(lvl + 1)
 			nd.count++
@@ -256,7 +260,8 @@ func (t *Table) walkTo(vpn addr.VPN, create bool) ([]*fnode, error) {
 // setLeafWord installs a word at the leaf slot for vpn. Caller holds the
 // write lock.
 func (t *Table) setLeafWord(vpn addr.VPN, w pte.Word) error {
-	path, err := t.walkTo(vpn, true)
+	var buf [maxLevels]*fnode
+	path, err := t.walkTo(buf[:0], vpn, true)
 	if err != nil {
 		return err
 	}
@@ -264,7 +269,7 @@ func (t *Table) setLeafWord(vpn addr.VPN, w pte.Word) error {
 	s := t.slot(vpn, len(path)-1)
 	if leaf.entries[s].word.Valid() {
 		t.pruneIfEmpty(vpn, path)
-		return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+		return pagetable.ErrAlreadyMapped
 	}
 	leaf.entries[s].word = w
 	leaf.count++
@@ -305,7 +310,8 @@ func (t *Table) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 func (t *Table) Unmap(vpn addr.VPN) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	path, err := t.walkTo(vpn, false)
+	var buf [maxLevels]*fnode
+	path, err := t.walkTo(buf[:0], vpn, false)
 	if err != nil {
 		return err
 	}
@@ -313,7 +319,7 @@ func (t *Table) Unmap(vpn addr.VPN) error {
 	s := t.slot(vpn, len(path)-1)
 	w := leaf.entries[s].word
 	if !w.Valid() {
-		return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	if w.Kind() != pte.KindBase {
 		// A base-page unmap of a page covered by a replicated superpage or

@@ -31,7 +31,7 @@ type Guarded struct {
 	root    *gnode
 	nNodes  uint64
 	nMapped uint64
-	stats   pagetable.Stats
+	stats   pagetable.Counters
 
 	nodes   *ptalloc.Arena[gnode]
 	entries *ptalloc.SliceArena[gentry]
@@ -148,12 +148,7 @@ func (g *Guarded) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	g.mu.RLock()
 	e, cost, ok := g.lookupLocked(vpn)
 	g.mu.RUnlock()
-	g.mu.Lock()
-	g.stats.Lookups++
-	if !ok {
-		g.stats.LookupFails++
-	}
-	g.mu.Unlock()
+	g.stats.NoteLookup(ok)
 	return e, cost, ok
 }
 
@@ -198,7 +193,7 @@ func (g *Guarded) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 		return err
 	}
 	g.nMapped++
-	g.stats.Inserts++
+	g.stats.NoteInsert()
 	return nil
 }
 
@@ -232,7 +227,7 @@ func (g *Guarded) insert(nd *gnode, rest bitstr, w pte.Word) error {
 			// (both paths consumed the same bits), so a full match is an
 			// exact address match.
 			if ent.word.Valid() {
-				return fmt.Errorf("%w: guarded slot occupied", pagetable.ErrAlreadyMapped)
+				return pagetable.ErrAlreadyMapped
 			}
 			ent.word = w
 			return nil
@@ -299,21 +294,21 @@ func (g *Guarded) Unmap(vpn addr.VPN) error {
 	nd := g.root
 	for {
 		if rest.len < g.cfg.IndexBits {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+			return pagetable.ErrNotMapped
 		}
 		ent := &nd.entries[rest.take(g.cfg.IndexBits)]
 		if !ent.used || ent.guardLen > rest.len || rest.take(ent.guardLen) != ent.guard {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+			return pagetable.ErrNotMapped
 		}
 		if ent.child == nil {
 			if rest.len != 0 || !ent.word.Valid() {
-				return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+				return pagetable.ErrNotMapped
 			}
 			ent.used = false
 			ent.word = pte.Invalid
 			nd.count--
 			g.nMapped--
-			g.stats.Removes++
+			g.stats.NoteRemove()
 			return nil
 		}
 		nd = ent.child
@@ -365,9 +360,7 @@ func (g *Guarded) Size() pagetable.Size {
 
 // Stats implements pagetable.PageTable.
 func (g *Guarded) Stats() pagetable.Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.stats
+	return g.stats.Snapshot()
 }
 
 // MemStats implements pagetable.MemReporter. The analytical Size()
@@ -386,7 +379,7 @@ func (g *Guarded) Reset() {
 	g.nNodes = 0
 	g.root = g.newNode()
 	g.nMapped = 0
-	g.stats = pagetable.Stats{}
+	g.stats.Reset()
 }
 
 // Depth reports the tree depth a lookup of vpn would traverse (0 if

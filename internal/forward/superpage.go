@@ -25,9 +25,8 @@ func (t *Table) MapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, size add
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := uint64(0); i < pages; i++ {
-		if e, _, ok := t.lookupLocked(vpn + addr.VPN(i)); ok {
-			_ = e
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn)+i)
+		if _, _, ok := t.lookupLocked(vpn + addr.VPN(i)); ok {
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	for i := uint64(0); i < pages; i++ {
@@ -64,7 +63,7 @@ func (t *Table) MapSuperpageAtNode(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, si
 	for l := 0; l < lvl; l++ {
 		ent := &nd.entries[t.slot(vpn, l)]
 		if ent.word.Valid() {
-			return fmt.Errorf("%w: vpn %#x covered by level-%d superpage", pagetable.ErrAlreadyMapped, uint64(vpn), l)
+			return pagetable.ErrAlreadyMapped
 		}
 		if ent.child == nil {
 			ent.child = t.newNode(l + 1)
@@ -74,7 +73,7 @@ func (t *Table) MapSuperpageAtNode(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, si
 	}
 	ent := &nd.entries[t.slot(vpn, lvl)]
 	if ent.word.Valid() || ent.child != nil {
-		return fmt.Errorf("%w: vpn %#x slot occupied at level %d", pagetable.ErrAlreadyMapped, uint64(vpn), lvl)
+		return pagetable.ErrAlreadyMapped
 	}
 	ent.word = word
 	nd.count++
@@ -97,14 +96,14 @@ func (t *Table) UnmapSuperpageAtNode(vpn addr.VPN, size addr.Size) error {
 		path = append(path, nd)
 		ent := &nd.entries[t.slot(vpn, l)]
 		if ent.child == nil {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+			return pagetable.ErrNotMapped
 		}
 		nd = ent.child
 	}
 	path = append(path, nd)
 	ent := &nd.entries[t.slot(vpn, lvl)]
 	if !ent.word.Valid() || ent.word.Kind() != pte.KindSuperpage || ent.word.Size() != size {
-		return fmt.Errorf("%w: no %v superpage at vpn %#x", pagetable.ErrNotMapped, size, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	ent.word = pte.Invalid
 	nd.count--
@@ -136,7 +135,7 @@ func (t *Table) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, vali
 			continue
 		}
 		if _, _, ok := t.lookupLocked(first + addr.VPN(boff)); ok {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(first)+boff)
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	for boff := uint64(0); boff < sbf; boff++ {
@@ -181,8 +180,9 @@ func (t *Table) demoteReplicasLocked(vpn addr.VPN, w pte.Word) error {
 	default:
 		return fmt.Errorf("%w: vpn %#x holds no replicated PTE", pagetable.ErrUnsupported, uint64(vpn))
 	}
+	var buf [maxLevels]*fnode
 	for _, v := range sites {
-		p, err := t.walkTo(v, false)
+		p, err := t.walkTo(buf[:0], v, false)
 		if err != nil {
 			return fmt.Errorf("forward: inconsistent replica at vpn %#x: %v", uint64(v), err)
 		}
@@ -208,14 +208,15 @@ func (t *Table) demoteReplicasLocked(vpn addr.VPN, w pte.Word) error {
 func (t *Table) UnmapReplicated(vpn addr.VPN) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	path, err := t.walkTo(vpn, false)
+	var buf [maxLevels]*fnode
+	path, err := t.walkTo(buf[:0], vpn, false)
 	if err != nil {
 		return err
 	}
 	leaf := path[len(path)-1]
 	w := leaf.entries[t.slot(vpn, len(path)-1)].word
 	if !w.Valid() || w.Kind() == pte.KindBase {
-		return fmt.Errorf("%w: vpn %#x has no replicated PTE", pagetable.ErrNotMapped, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	var sites []addr.VPN
 	switch w.Kind() {
@@ -234,7 +235,7 @@ func (t *Table) UnmapReplicated(vpn addr.VPN) error {
 		}
 	}
 	for _, v := range sites {
-		p, err := t.walkTo(v, false)
+		p, err := t.walkTo(buf[:0], v, false)
 		if err != nil {
 			return fmt.Errorf("forward: inconsistent replica at vpn %#x: %v", uint64(v), err)
 		}

@@ -169,7 +169,7 @@ func (t *Table) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	defer b.mu.Unlock()
 	for nd := b.head; nd != nil; nd = nd.next {
 		if nd.vpn == vpn && nd.word.Valid() {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	h, nd := t.nodes.Alloc()
@@ -195,7 +195,7 @@ func (t *Table) Unmap(vpn addr.VPN) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+	return pagetable.ErrNotMapped
 }
 
 // ProtectRange implements pagetable.PageTable. A hashed page table must

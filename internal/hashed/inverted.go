@@ -30,7 +30,7 @@ type InvertedTable struct {
 	entries  []invEntry
 	entriesH ptalloc.Handle
 	arena    *ptalloc.SliceArena[invEntry]
-	stats    pagetable.Stats
+	stats    pagetable.Counters
 	nMapped  uint64
 }
 
@@ -114,12 +114,7 @@ func (t *InvertedTable) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) 
 	cost.Lines = meter.Lines()
 	t.mu.RUnlock()
 
-	t.mu.Lock()
-	t.stats.Lookups++
-	if !ok {
-		t.stats.LookupFails++
-	}
-	t.mu.Unlock()
+	t.stats.NoteLookup(ok)
 	return e, cost, ok
 }
 
@@ -134,14 +129,13 @@ func (t *InvertedTable) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	defer t.mu.Unlock()
 	ent := &t.entries[ppn]
 	if ent.word.Valid() {
-		return fmt.Errorf("%w: frame %#x already maps vpn %#x",
-			pagetable.ErrAlreadyMapped, uint64(ppn), uint64(ent.vpn))
+		return pagetable.ErrAlreadyMapped
 	}
 	// Reject a second mapping of the same VPN.
 	a := t.anchorFor(vpn)
 	for idx := t.anchors[a]; idx >= 0; idx = t.entries[idx].next {
 		if e := &t.entries[idx]; e.word.Valid() && e.vpn == vpn {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	ent.vpn = vpn
@@ -149,7 +143,7 @@ func (t *InvertedTable) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	ent.next = t.anchors[a]
 	t.anchors[a] = int32(ppn)
 	t.nMapped++
-	t.stats.Inserts++
+	t.stats.NoteInsert()
 	return nil
 }
 
@@ -169,12 +163,12 @@ func (t *InvertedTable) Unmap(vpn addr.VPN) error {
 			}
 			*ent = invEntry{next: -1}
 			t.nMapped--
-			t.stats.Removes++
+			t.stats.NoteRemove()
 			return nil
 		}
 		prev = idx
 	}
-	return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+	return pagetable.ErrNotMapped
 }
 
 // ProtectRange implements pagetable.PageTable: one probe per base page,
@@ -214,9 +208,7 @@ func (t *InvertedTable) Size() pagetable.Size {
 
 // Stats implements pagetable.PageTable.
 func (t *InvertedTable) Stats() pagetable.Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.stats
+	return t.stats.Snapshot()
 }
 
 // MemStats implements pagetable.MemReporter. The frame array is the
@@ -236,7 +228,7 @@ func (t *InvertedTable) Reset() {
 	t.arena.Reset()
 	t.initLocked()
 	t.nMapped = 0
-	t.stats = pagetable.Stats{}
+	t.stats.Reset()
 }
 
 // ReverseLookup returns the virtual page mapped to a frame — the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
@@ -33,8 +34,7 @@ type wordTable struct {
 	cfg     Config
 	buckets []wbucket
 	arena   *ptalloc.Arena[wnode]
-	mu      sync.Mutex
-	nNodes  uint64
+	nNodes  atomic.Uint64
 }
 
 type wbucket struct {
@@ -65,7 +65,7 @@ func (t *wordTable) reset() {
 		t.buckets[i].head = nil
 	}
 	t.arena.Reset()
-	t.nNodes = 0
+	t.nNodes.Store(0)
 }
 
 func (t *wordTable) bucketFor(key uint64) *wbucket {
@@ -103,15 +103,13 @@ func (t *wordTable) insert(key uint64, w pte.Word) error {
 	defer b.mu.Unlock()
 	for nd := b.head; nd != nil; nd = nd.next {
 		if nd.key == key && nd.word.Valid() {
-			return fmt.Errorf("%w: key %#x", pagetable.ErrAlreadyMapped, key)
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	h, nd := t.arena.Alloc()
 	nd.key, nd.word, nd.h = key, w, h
 	nd.next, b.head = b.head, nd
-	t.mu.Lock()
-	t.nNodes++
-	t.mu.Unlock()
+	t.nNodes.Add(1)
 	return nil
 }
 
@@ -124,9 +122,7 @@ func (t *wordTable) remove(key uint64) (pte.Word, bool) {
 			w := nd.word
 			*link = nd.next
 			t.arena.Free(nd.h)
-			t.mu.Lock()
-			t.nNodes--
-			t.mu.Unlock()
+			t.nNodes.Add(^uint64(0))
 			return w, true
 		}
 	}
@@ -147,9 +143,7 @@ func (t *wordTable) update(key uint64, fn func(pte.Word) pte.Word) (visited int,
 			if !nw.Valid() {
 				*link = nd.next
 				t.arena.Free(nd.h)
-				t.mu.Lock()
-				t.nNodes--
-				t.mu.Unlock()
+				t.nNodes.Add(^uint64(0))
 			} else {
 				nd.word = nw
 			}
@@ -159,11 +153,7 @@ func (t *wordTable) update(key uint64, fn func(pte.Word) pte.Word) (visited int,
 	return visited, false
 }
 
-func (t *wordTable) nodes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nNodes
-}
+func (t *wordTable) nodes() uint64 { return t.nNodes.Load() }
 
 // MultiTable is the multiple-page-table organization of §4.2: one hashed
 // table per page size in use. This implementation keeps a 4KB base table
@@ -179,8 +169,7 @@ type MultiTable struct {
 	base   *wordTable // key: VPN, base words
 	super  *wordTable // key: VPBN, superpage/psb words
 
-	mu    sync.Mutex
-	stats pagetable.Stats
+	stats pagetable.Counters
 }
 
 // NewMulti creates a multiple-page-table hashed organization with page
@@ -256,12 +245,7 @@ func (t *MultiTable) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 			e, ok = probeBase(&cost)
 		}
 	}
-	t.mu.Lock()
-	t.stats.Lookups++
-	if !ok {
-		t.stats.LookupFails++
-	}
-	t.mu.Unlock()
+	t.stats.NoteLookup(ok)
 	return e, cost, ok
 }
 
@@ -270,14 +254,14 @@ func (t *MultiTable) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	vpbn, boff := addr.BlockSplit(vpn, t.logSBF)
 	if w, _, ok := t.super.lookup(uint64(vpbn)); ok {
 		if w.Kind() != pte.KindPartial || w.ValidAt(boff) {
-			return fmt.Errorf("%w: vpn %#x covered by block PTE", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 		// Absorb into the psb word when properly placed and compatible.
 		if w.PPNAt(boff) == ppn && w.Attr().Protection() == attr.Protection() {
 			t.super.update(uint64(vpbn), func(old pte.Word) pte.Word {
 				return old.WithValidMask(old.ValidMask() | 1<<boff)
 			})
-			t.noteInsert()
+			t.stats.NoteInsert()
 			return nil
 		}
 		// Otherwise the page simply lives in the base table alongside
@@ -287,14 +271,8 @@ func (t *MultiTable) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	if err := t.base.insert(uint64(vpn), pte.MakeBase(ppn, attr)); err != nil {
 		return err
 	}
-	t.noteInsert()
+	t.stats.NoteInsert()
 	return nil
-}
-
-func (t *MultiTable) noteInsert() {
-	t.mu.Lock()
-	t.stats.Inserts++
-	t.mu.Unlock()
 }
 
 // MapSuperpage implements pagetable.SuperpageMapper. Superpages smaller
@@ -329,9 +307,9 @@ func (t *MultiTable) MapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, siz
 		for _, v := range inserted {
 			t.super.remove(uint64(v))
 		}
-		return fmt.Errorf("%w: block %#x", pagetable.ErrAlreadyMapped, uint64(vpbn))
+		return pagetable.ErrAlreadyMapped
 	}
-	t.noteInsert()
+	t.stats.NoteInsert()
 	return nil
 }
 
@@ -357,13 +335,13 @@ func (t *MultiTable) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr,
 		t.super.update(uint64(vpbn), func(old pte.Word) pte.Word {
 			return old.WithValidMask(old.ValidMask() | valid)
 		})
-		t.noteInsert()
+		t.stats.NoteInsert()
 		return nil
 	}
 	if err := t.super.insert(uint64(vpbn), pte.MakePartial(basePPN, attr, valid, t.logSBF)); err != nil {
 		return err
 	}
-	t.noteInsert()
+	t.stats.NoteInsert()
 	return nil
 }
 
@@ -372,7 +350,7 @@ func (t *MultiTable) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr,
 func (t *MultiTable) checkBlockFree(vpbn addr.VPBN, valid uint16) error {
 	if w, _, ok := t.super.lookup(uint64(vpbn)); ok {
 		if w.Kind() != pte.KindPartial || w.ValidMask()&valid != 0 {
-			return fmt.Errorf("%w: block %#x", pagetable.ErrAlreadyMapped, uint64(vpbn))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	sbf := uint64(1) << t.logSBF
@@ -382,7 +360,7 @@ func (t *MultiTable) checkBlockFree(vpbn addr.VPBN, valid uint16) error {
 		}
 		vpn := addr.BlockJoin(vpbn, boff, t.logSBF)
 		if _, _, ok := t.base.lookup(uint64(vpn)); ok {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	return nil
@@ -393,19 +371,19 @@ func (t *MultiTable) checkBlockFree(vpbn addr.VPBN, valid uint16) error {
 // larger superpages must be removed with UnmapSuperpage.
 func (t *MultiTable) Unmap(vpn addr.VPN) error {
 	if _, ok := t.base.remove(uint64(vpn)); ok {
-		t.noteRemove()
+		t.stats.NoteRemove()
 		return nil
 	}
 	vpbn, boff := addr.BlockSplit(vpn, t.logSBF)
 	sbf := uint64(1) << t.logSBF
 	w, _, ok := t.super.lookup(uint64(vpbn))
 	if !ok {
-		return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	switch w.Kind() {
 	case pte.KindPartial:
 		if !w.ValidAt(boff) {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+			return pagetable.ErrNotMapped
 		}
 		// An empty vector makes the word invalid, and update removes it.
 		t.super.update(uint64(vpbn), func(old pte.Word) pte.Word {
@@ -424,7 +402,7 @@ func (t *MultiTable) Unmap(vpn addr.VPN) error {
 			return pte.MakePartial(old.PPN(), old.Attr(), mask&^(1<<boff), t.logSBF)
 		})
 	}
-	t.noteRemove()
+	t.stats.NoteRemove()
 	return nil
 }
 
@@ -444,21 +422,14 @@ func (t *MultiTable) UnmapSuperpage(vpn addr.VPN, size addr.Size) error {
 		vpbn := firstBlock + addr.VPBN(i)
 		w, _, ok := t.super.lookup(uint64(vpbn))
 		if !ok || w.Kind() != pte.KindSuperpage || w.Size() != size {
-			return fmt.Errorf("%w: no %v superpage replica at block %#x",
-				pagetable.ErrNotMapped, size, uint64(vpbn))
+			return pagetable.ErrNotMapped
 		}
 	}
 	for i := uint64(0); i < blocks; i++ {
 		t.super.remove(uint64(firstBlock + addr.VPBN(i)))
 	}
-	t.noteRemove()
+	t.stats.NoteRemove()
 	return nil
-}
-
-func (t *MultiTable) noteRemove() {
-	t.mu.Lock()
-	t.stats.Removes++
-	t.mu.Unlock()
 }
 
 // ProtectRange implements pagetable.PageTable: one base-table probe per
@@ -528,11 +499,7 @@ func (t *MultiTable) Size() pagetable.Size {
 }
 
 // Stats implements pagetable.PageTable.
-func (t *MultiTable) Stats() pagetable.Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
+func (t *MultiTable) Stats() pagetable.Stats { return t.stats.Snapshot() }
 
 // MemStats implements pagetable.MemReporter: the sum of both per-size
 // tables' node arenas.
@@ -546,9 +513,7 @@ func (t *MultiTable) MemStats() pagetable.MemStats {
 func (t *MultiTable) Reset() {
 	t.base.reset()
 	t.super.reset()
-	t.mu.Lock()
-	t.stats = pagetable.Stats{}
-	t.mu.Unlock()
+	t.stats.Reset()
 }
 
 var (

@@ -24,9 +24,7 @@ type SPIndexTable struct {
 	buckets []sbucket
 	nodes   *ptalloc.Arena[snode]
 
-	mu     sync.Mutex
-	stats  pagetable.Stats
-	nNodes uint64
+	stats pagetable.Counters
 }
 
 type sbucket struct {
@@ -124,12 +122,7 @@ func (t *SPIndexTable) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	}
 	b.mu.RUnlock()
 
-	t.mu.Lock()
-	t.stats.Lookups++
-	if !ok {
-		t.stats.LookupFails++
-	}
-	t.mu.Unlock()
+	t.stats.NoteLookup(ok)
 	return e, cost, ok
 }
 
@@ -144,16 +137,16 @@ func (t *SPIndexTable) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 			continue
 		}
 		if !nd.isBlock && nd.vpn == vpn {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 		if nd.isBlock && nd.vpbn == vpbn &&
 			(nd.word.Kind() != pte.KindPartial || nd.word.ValidAt(boff)) {
-			return fmt.Errorf("%w: vpn %#x covered by block PTE", pagetable.ErrAlreadyMapped, uint64(vpn))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	nd := t.allocNode(false, vpn, vpbn, pte.MakeBase(ppn, attr))
 	nd.next, b.head = b.head, nd
-	t.note(func(s *pagetable.Stats) { s.Inserts++ }, +1)
+	t.stats.NoteInsert()
 	return nil
 }
 
@@ -173,16 +166,45 @@ func (t *SPIndexTable) MapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, s
 	word := pte.MakeSuperpage(ppn, attr, size)
 	firstBlock, _ := addr.BlockSplit(vpn, t.logSBF)
 	for i := uint64(0); i < pages/sbf; i++ {
+		if t.blockTaken(firstBlock+addr.VPBN(i), ^uint16(0)) {
+			return pagetable.ErrAlreadyMapped
+		}
+	}
+	for i := uint64(0); i < pages/sbf; i++ {
 		vpbn := firstBlock + addr.VPBN(i)
 		b := t.bucketFor(vpbn)
 		b.mu.Lock()
 		nd := t.allocNode(true, 0, vpbn, word)
 		nd.next, b.head = b.head, nd
 		b.mu.Unlock()
-		t.note(nil, +1)
 	}
-	t.note(func(s *pagetable.Stats) { s.Inserts++ }, 0)
+	t.stats.NoteInsert()
 	return nil
+}
+
+// blockTaken reports whether any mapping of block vpbn covers an offset
+// in valid.
+func (t *SPIndexTable) blockTaken(vpbn addr.VPBN, valid uint16) bool {
+	b := t.bucketFor(vpbn)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for nd := b.head; nd != nil; nd = nd.next {
+		if !nd.word.Valid() || nd.vpbn != vpbn {
+			continue
+		}
+		covered := nd.word.ValidMask()
+		switch {
+		case !nd.isBlock:
+			_, boff := addr.BlockSplit(nd.vpn, t.logSBF)
+			covered = 1 << boff
+		case nd.word.Kind() != pte.KindPartial:
+			covered = ^uint16(0)
+		}
+		if covered&valid != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // MapPartial implements pagetable.PartialMapper.
@@ -193,12 +215,15 @@ func (t *SPIndexTable) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Att
 	if uint64(basePPN)&(uint64(1)<<t.logSBF-1) != 0 {
 		return fmt.Errorf("%w: psb frame block %#x", pagetable.ErrMisaligned, uint64(basePPN))
 	}
+	if t.blockTaken(vpbn, valid) {
+		return pagetable.ErrAlreadyMapped
+	}
 	b := t.bucketFor(vpbn)
 	b.mu.Lock()
 	nd := t.allocNode(true, 0, vpbn, pte.MakePartial(basePPN, attr, valid, t.logSBF))
 	nd.next, b.head = b.head, nd
 	b.mu.Unlock()
-	t.note(func(s *pagetable.Stats) { s.Inserts++ }, +1)
+	t.stats.NoteInsert()
 	return nil
 }
 
@@ -218,7 +243,7 @@ func (t *SPIndexTable) Unmap(vpn addr.VPN) error {
 		if !nd.isBlock && nd.vpn == vpn {
 			*link = nd.next
 			t.nodes.Free(nd.h)
-			t.note(func(s *pagetable.Stats) { s.Removes++ }, -1)
+			t.stats.NoteRemove()
 			return nil
 		}
 		if nd.isBlock && nd.vpbn == vpbn {
@@ -231,11 +256,11 @@ func (t *SPIndexTable) Unmap(vpn addr.VPN) error {
 				if !nw.Valid() {
 					*link = nd.next
 					t.nodes.Free(nd.h)
-					t.note(func(s *pagetable.Stats) { s.Removes++ }, -1)
+					t.stats.NoteRemove()
 					return nil
 				}
 				nd.word = nw
-				t.note(func(s *pagetable.Stats) { s.Removes++ }, 0)
+				t.stats.NoteRemove()
 				return nil
 			default:
 				if nd.word.Size().Pages() > sbf {
@@ -246,12 +271,12 @@ func (t *SPIndexTable) Unmap(vpn addr.VPN) error {
 					mask = ^uint16(0)
 				}
 				nd.word = pte.MakePartial(nd.word.PPN(), nd.word.Attr(), mask&^(1<<boff), t.logSBF)
-				t.note(func(s *pagetable.Stats) { s.Removes++ }, 0)
+				t.stats.NoteRemove()
 				return nil
 			}
 		}
 	}
-	return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+	return pagetable.ErrNotMapped
 }
 
 // ProtectRange implements pagetable.PageTable: one probe per page block
@@ -313,11 +338,7 @@ func (t *SPIndexTable) Size() pagetable.Size {
 }
 
 // Stats implements pagetable.PageTable.
-func (t *SPIndexTable) Stats() pagetable.Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
+func (t *SPIndexTable) Stats() pagetable.Stats { return t.stats.Snapshot() }
 
 // MemStats implements pagetable.MemReporter: one arena object per chain
 // node (base, superpage replica, or psb word alike).
@@ -333,8 +354,7 @@ func (t *SPIndexTable) Reset() {
 		t.buckets[i].head = nil
 	}
 	t.nodes.Reset()
-	t.stats = pagetable.Stats{}
-	t.nNodes = 0
+	t.stats.Reset()
 }
 
 // ChainStats reports the load factor and the longest chain — the
@@ -356,15 +376,6 @@ func (t *SPIndexTable) ChainStats() (alpha float64, maxChain int) {
 		}
 	}
 	return float64(nodes) / float64(t.cfg.Buckets), maxChain
-}
-
-func (t *SPIndexTable) note(fn func(*pagetable.Stats), dNodes int64) {
-	t.mu.Lock()
-	if fn != nil {
-		fn(&t.stats)
-	}
-	t.nNodes = uint64(int64(t.nNodes) + dNodes)
-	t.mu.Unlock()
 }
 
 func popcount(m uint16) int {

@@ -263,7 +263,7 @@ func (t *Table) setWord(vpn addr.VPN, w pte.Word) error {
 			// Freshly allocated page cannot have valid words; defensive.
 			panic("linear: corrupt leaf page")
 		}
-		return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(vpn))
+		return pagetable.ErrAlreadyMapped
 	}
 	pg.words[slot] = w
 	pg.count++
@@ -295,7 +295,7 @@ func (t *Table) Unmap(vpn addr.VPN) error {
 	pg, ok := t.leaf[LeafPageIndex(vpn)]
 	slot := uint64(vpn) & (entriesPerPage - 1)
 	if !ok || !pg.words[slot].Valid() {
-		return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	w := pg.words[slot]
 	if w.Kind() != pte.KindBase {

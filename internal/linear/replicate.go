@@ -33,7 +33,7 @@ func (t *Table) MapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, size add
 	for i := uint64(0); i < pages; i++ {
 		v := vpn + addr.VPN(i)
 		if pg, ok := t.leaf[LeafPageIndex(v)]; ok && pg.words[uint64(v)&(entriesPerPage-1)].Valid() {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(v))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	for i := uint64(0); i < pages; i++ {
@@ -69,7 +69,7 @@ func (t *Table) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, vali
 		}
 		v := first + addr.VPN(boff)
 		if pg, ok := t.leaf[LeafPageIndex(v)]; ok && pg.words[uint64(v)&(entriesPerPage-1)].Valid() {
-			return fmt.Errorf("%w: vpn %#x", pagetable.ErrAlreadyMapped, uint64(v))
+			return pagetable.ErrAlreadyMapped
 		}
 	}
 	for boff := uint64(0); boff < sbf; boff++ {
@@ -143,11 +143,11 @@ func (t *Table) UnmapReplicated(vpn addr.VPN) error {
 	defer t.mu.Unlock()
 	pg, ok := t.leaf[LeafPageIndex(vpn)]
 	if !ok {
-		return fmt.Errorf("%w: vpn %#x", pagetable.ErrNotMapped, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	w := pg.words[uint64(vpn)&(entriesPerPage-1)]
 	if !w.Valid() || w.Kind() == pte.KindBase {
-		return fmt.Errorf("%w: vpn %#x has no replicated PTE", pagetable.ErrNotMapped, uint64(vpn))
+		return pagetable.ErrNotMapped
 	}
 	var sites []addr.VPN
 	var removed int

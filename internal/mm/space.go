@@ -244,7 +244,7 @@ func (s *AddressSpace) populatePartialBlock(vpbn addr.VPBN, lo, hi uint64, attr 
 	for _, g := range pages {
 		vpn := addr.BlockJoin(vpbn, g.boff, s.logSBF)
 		if err := s.pt.Map(vpn, g.ppn, attr); err != nil {
-			return err
+			return fmt.Errorf("mm: map %#x: %w", uint64(vpn), err)
 		}
 		s.stats.BasePages++
 		s.noteMap(vpn, g.ppn, attr)
@@ -271,7 +271,7 @@ func (s *AddressSpace) Touch(va addr.V) (bool, error) {
 	}
 	if err := s.pt.Map(vpn, ppn, vma.Attr); err != nil {
 		_ = s.alloc.Free(ppn)
-		return false, err
+		return false, fmt.Errorf("mm: map %#x: %w", uint64(vpn), err)
 	}
 	s.stats.BasePages++
 	s.noteMap(vpn, ppn, vma.Attr)
@@ -412,7 +412,7 @@ func (s *AddressSpace) unmapOne(vpn addr.VPN, e pte.Entry) error {
 		if su, ok := s.pt.(spUnmapper); ok {
 			base := vpn &^ addr.VPN(e.Size.Pages()-1)
 			if err := su.UnmapSuperpage(base, e.Size); err != nil {
-				return err
+				return fmt.Errorf("mm: unmap %v superpage %#x: %w", e.Size, uint64(base), err)
 			}
 			for i := uint64(0); i < e.Size.Pages(); i++ {
 				s.noteUnmap(base + addr.VPN(i))
@@ -422,7 +422,7 @@ func (s *AddressSpace) unmapOne(vpn addr.VPN, e pte.Entry) error {
 	}
 	if ru, ok := s.pt.(replUnmapper); ok {
 		if err := ru.UnmapReplicated(vpn); err != nil {
-			return err
+			return fmt.Errorf("mm: unmap replicated %#x: %w", uint64(vpn), err)
 		}
 		// A replicated compact PTE disappears whole: report every page it
 		// translated, matching what OnMap saw when it was installed.
@@ -444,7 +444,7 @@ func (s *AddressSpace) unmapOne(vpn addr.VPN, e pte.Entry) error {
 		}
 		return nil
 	}
-	return err
+	return fmt.Errorf("mm: unmap %#x: %w", uint64(vpn), err)
 }
 
 // Protect applies a protection change across r — the §3.1 range

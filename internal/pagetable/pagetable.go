@@ -11,7 +11,10 @@ import (
 	"clusterpt/internal/pte"
 )
 
-// Errors returned by page-table operations.
+// Errors returned by page-table operations. Organizations return
+// ErrNotMapped and ErrAlreadyMapped bare, never wrapped: racing writers
+// expect them, and the bare sentinel costs no allocation. A caller that
+// surfaces one adds the page it was about.
 var (
 	// ErrNotMapped reports a lookup or unmap of an unmapped page.
 	ErrNotMapped = errors.New("pagetable: page not mapped")

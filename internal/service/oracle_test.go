@@ -106,18 +106,20 @@ func auditReplicated(t *testing.T, s *Service, ctx string) {
 			}
 		}
 		for slot := range rep.cache {
-			c := rep.cache[slot].Load()
-			if c == nil {
-				continue
-			}
-			e, _, ok := rep.table.Lookup(addr.VAOf(c.vpn))
+			vpn := tagVPN(rep.cache[slot].tag.Load())
+			w, boff, ok := rep.cache[slot].load(vpn)
 			if !ok {
-				t.Errorf("%s: replica %d slot %d: vpn %#x cached but not mapped", ctx, i, slot, uint64(c.vpn))
 				continue
 			}
-			if e.PPN != c.e.PPN || e.Attr != c.e.Attr {
+			c := pte.EntryFromWord(w, vpn, boff)
+			e, _, ok := rep.table.Lookup(addr.VAOf(vpn))
+			if !ok {
+				t.Errorf("%s: replica %d slot %d: vpn %#x cached but not mapped", ctx, i, slot, uint64(vpn))
+				continue
+			}
+			if e.PPN != c.PPN || e.Attr != c.Attr {
 				t.Errorf("%s: replica %d slot %d: vpn %#x cached (%#x,%v), table (%#x,%v)",
-					ctx, i, slot, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
+					ctx, i, slot, uint64(vpn), uint64(c.PPN), c.Attr, uint64(e.PPN), e.Attr)
 			}
 		}
 	}

@@ -79,10 +79,25 @@ func stressService(t *testing.T, s *Service, mode mmuMode) {
 	stop := make(chan struct{})
 	var toggler sync.WaitGroup
 	if mode == toggled {
+		// The toggle sequence starts attached and stays so until the
+		// storm has driven a model once: a scheduler that starves the
+		// toggler must not leave the whole storm detached.
+		s.AttachMMU(attach)
 		toggler.Add(1)
 		go func() {
 			defer toggler.Done()
-			for i := 0; ; i++ {
+			for driven := false; !driven; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, h := range models {
+					driven = driven || h.Stats().Accesses > 0
+				}
+				runtime.Gosched()
+			}
+			for i := 1; ; i++ {
 				select {
 				case <-stop:
 					return

@@ -7,11 +7,12 @@
 // handler from the mapping system calls (§3.1 of the paper):
 //
 //   - Lookup takes a lock-free fast path through a fixed-size translation
-//     cache of atomic pointers — a software TLB in front of the wrapped
-//     table. A hit costs one hash, one atomic load and one tag compare;
-//     no lock, no shared-cache-line write. A miss walks the table under
-//     the covering stripe's read lock and publishes the result before
-//     releasing it.
+//     cache of by-value seqlock slots — a software TLB in front of the
+//     wrapped table. A hit costs one hash, a few atomic loads bracketed by
+//     the slot's sequence counter, one tag compare and a mapping-word
+//     decode; no lock, no shared-cache-line write, no allocation. A miss
+//     walks the table under the covering stripe's read lock and publishes
+//     the result before releasing it.
 //   - Map, MapRange, Unmap, Protect and Demote run one write round per
 //     page block on a striped readers-writer lock: lock the block's
 //     stripe, mutate the table, invalidate the affected cache slots,
@@ -53,6 +54,7 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -175,10 +177,82 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// cached is one immutable translation-cache entry, published by pointer.
-type cached struct {
-	vpn addr.VPN
-	e   pte.Entry
+// slot is one translation-cache entry, held by value so the cache holds
+// no pointer for the collector to scan and a fill allocates nothing. It
+// is a seqlock over two words: the tag — the cached VPN, with the
+// partial-subblock offset e.PPN-e.BlockPPN (which the mapping word does
+// not record) above the VPN's bits — and the packed mapping word. seq is
+// odd while one writer — a filler or a dropper — owns the slot, and a
+// reader accepts the tag and word only if seq was even and unchanged
+// around its loads. A zero word (pte.Invalid) marks an empty slot; every
+// cached translation's word is valid.
+type slot struct {
+	seq, tag, word atomic.Uint64
+	_              [8]byte // half a cache line: no slot straddles two
+}
+
+// boffShift places the partial-subblock offset in the tag, above the
+// widest VPN.
+const boffShift = addr.VPNBits
+
+// tagVPN is the VPN half of a slot tag.
+func tagVPN(tag uint64) addr.VPN { return addr.VPN(tag & (1<<boffShift - 1)) }
+
+// load returns the mapping word and partial-subblock offset the slot
+// caches for vpn, for pte.EntryFromWord. A slot a writer owns, or one
+// that changed under the loads, reads as a miss.
+func (c *slot) load(vpn addr.VPN) (w pte.Word, boff uint64, ok bool) {
+	s := c.seq.Load()
+	tag := c.tag.Load()
+	if s&1 != 0 || tagVPN(tag) != vpn {
+		return pte.Invalid, 0, false
+	}
+	w = pte.Word(c.word.Load())
+	return w, tag >> boffShift, w != pte.Invalid && c.seq.Load() == s
+}
+
+// fill caches e, the table's answer for e.VPN. Every organization builds
+// its entries with pte.EntryFromWord, so e.Word and the offset give e
+// back exactly. A filler that finds the slot owned, or loses the race to
+// own it, skips the fill: the next miss walks again.
+func (c *slot) fill(e pte.Entry) {
+	tag := uint64(e.VPN)
+	if e.Kind == pte.KindPartial {
+		tag |= uint64(e.PPN-e.BlockPPN) << boffShift
+	}
+	w := e.Word()
+	s := c.seq.Load()
+	if s&1 != 0 || !c.seq.CompareAndSwap(s, s+1) {
+		return
+	}
+	c.tag.Store(tag)
+	c.word.Store(uint64(w))
+	c.seq.Store(s + 2)
+}
+
+// drop empties the slot if it caches vpn. Unlike a filler it must not
+// give up: a writer owning the slot fills or drops some other VPN and
+// may leave vpn's entry in place, so drop waits it out. That writer only
+// stores, so the wait is short, and it never waits on drop's caller.
+func (c *slot) drop(vpn addr.VPN) {
+	for {
+		s := c.seq.Load()
+		if s&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		if tagVPN(c.tag.Load()) != vpn || c.word.Load() == uint64(pte.Invalid) {
+			if c.seq.Load() == s {
+				return
+			}
+			continue
+		}
+		if c.seq.CompareAndSwap(s, s+1) {
+			c.word.Store(uint64(pte.Invalid))
+			c.seq.Store(s + 2)
+			return
+		}
+	}
 }
 
 // stripe pads each lock to its own cache line so writer stripes do not
@@ -195,7 +269,7 @@ type replica struct {
 	// that stripe on every replica at once. The pointer is write-once.
 	table   pagetable.PageTable //ptlint:guardedby stripes[*].mu
 	stripes []stripe
-	cache   []atomic.Pointer[cached]
+	cache   []slot
 	// mmuh, when attached, is the modeled hardware translation hierarchy
 	// in front of this replica. Atomic so AttachMMU is safe against
 	// in-flight traffic; nil costs one atomic load per operation.
@@ -223,42 +297,46 @@ func (p *replica) stripeFor(vpn addr.VPN) *sync.RWMutex {
 	return &p.stripes[stripeIndex(vpn, len(p.stripes))].mu
 }
 
-func (p *replica) slotFor(vpn addr.VPN) *atomic.Pointer[cached] {
+func (p *replica) slotFor(vpn addr.VPN) *slot {
 	h := pagetable.HashVPN(uint64(vpn))
 	return &p.cache[h&uint64(len(p.cache)-1)]
 }
 
-// translate resolves va through this replica, returning the walk's line
-// count (zero on a hit). The fast path is lock-free. On a cache miss it
-// walks the table under the stripe's read lock and publishes the result
-// — the fill must complete inside the read-side critical section so a
-// write round on the same stripe cannot order its invalidation between
-// the walk and the publish. An attached hierarchy model is driven with
-// every resolved translation, its fill inside the critical section for
-// the same reason; a hit resolved without touching table memory drives
-// it with a zero walk cost, and a racing invalidation may land after the
-// slot load — the same staleness window a real TLB has between a fill
-// and its shootdown.
-func (p *replica) translate(va addr.V) (e pte.Entry, lines int, ok, hit bool) {
+// hit resolves va from the translation cache, lock-free, returning the
+// packed word and partial-subblock offset for the caller to decode into
+// its own result. An attached hierarchy model is driven with the
+// translation at zero walk cost: a hit touches no table memory. A racing
+// invalidation may land after the slot load — the same staleness window
+// a real TLB has between a fill and its shootdown.
+func (p *replica) hit(va addr.V) (w pte.Word, boff uint64, ok bool) {
 	vpn := addr.VPNOf(va)
-	slot := p.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
+	if w, boff, ok = p.slotFor(vpn).load(vpn); ok {
 		if h := p.mmuh.Load(); h != nil {
-			h.Translate(va, c.e, pagetable.WalkCost{})
+			h.Translate(va, pte.EntryFromWord(w, vpn, boff), pagetable.WalkCost{})
 		}
-		return c.e, 0, true, true
 	}
+	return w, boff, ok
+}
+
+// walk resolves a cache miss: it walks the table under the stripe's read
+// lock and publishes the result, returning the walk's line count. The
+// fill must complete inside the read-side critical section so a write
+// round on the same stripe cannot order its invalidation between the
+// walk and the publish; an attached hierarchy model is filled inside it
+// for the same reason.
+func (p *replica) walk(va addr.V) (e pte.Entry, lines int, ok bool) {
+	vpn := addr.VPNOf(va)
 	mu := p.stripeFor(vpn)
 	mu.RLock()
 	e, cost, ok := p.table.Lookup(va)
 	if ok {
-		slot.Store(&cached{vpn: vpn, e: e})
+		p.slotFor(vpn).fill(e)
 		if h := p.mmuh.Load(); h != nil {
 			h.Translate(va, e, cost)
 		}
 	}
 	mu.RUnlock()
-	return e, cost.Lines, ok, false
+	return e, cost.Lines, ok
 }
 
 // dropSlot kills the cache slot that may hold vpn. The caller holds
@@ -266,10 +344,7 @@ func (p *replica) translate(va addr.V) (e pte.Entry, lines int, ok, hit bool) {
 // different VPN that merely shares the slot — clearing it costs a
 // future refill, never correctness.
 func (p *replica) dropSlot(vpn addr.VPN) {
-	slot := p.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
-		slot.Store(nil)
-	}
+	p.slotFor(vpn).drop(vpn)
 }
 
 // Service is the concurrent page table: R replicas of one logical table
@@ -313,7 +388,7 @@ func New(cfg Config, build func(i int) (pagetable.PageTable, error)) (*Service, 
 		s.replicas = append(s.replicas, &replica{
 			table:   t,
 			stripes: make([]stripe, cfg.Stripes),
-			cache:   make([]atomic.Pointer[cached], cfg.CacheSlots),
+			cache:   make([]slot, cfg.CacheSlots),
 		})
 	}
 	return s, nil
@@ -462,13 +537,14 @@ func blockVPNs(buf []addr.VPN, vpbn addr.VPBN, lo, hi uint64) []addr.VPN {
 // callers that have not bound a Node.
 func (s *Service) Lookup(va addr.V) (pte.Entry, bool) {
 	rep := s.replicas[0]
-	e, _, ok, hit := rep.translate(va)
-	switch {
-	case hit:
+	if w, boff, ok := rep.hit(va); ok {
 		rep.hits.Add(1)
-	case ok:
+		return pte.EntryFromWord(w, addr.VPNOf(va), boff), true
+	}
+	e, _, ok := rep.walk(va)
+	if ok {
 		rep.fills.Add(1)
-	default:
+	} else {
 		rep.faults.Add(1)
 	}
 	return e, ok
@@ -643,7 +719,8 @@ func (s *Service) Reset() {
 			rt.Reset()
 		}
 		for i := range rep.cache {
-			rep.cache[i].Store(nil)
+			c := &rep.cache[i]
+			c.drop(tagVPN(c.tag.Load()))
 		}
 		if h := rep.mmuh.Load(); h != nil {
 			h.Shootdown()
@@ -792,11 +869,11 @@ func (n *Node) ResetCost() { n.cost = NodeCost{} }
 // line count charged at local or remote cost. The path touches no
 // state shared with nodes bound to other replicas.
 func (n *Node) Lookup(va addr.V) (pte.Entry, bool) {
-	e, lines, ok, hit := n.rep.translate(va)
-	if hit {
+	if w, boff, ok := n.rep.hit(va); ok {
 		n.cost.Hits++
-		return e, true
+		return pte.EntryFromWord(w, addr.VPNOf(va), boff), true
 	}
+	e, lines, ok := n.rep.walk(va)
 	priced := uint64(n.s.cfg.NUMA.WalkLines(lines, n.local))
 	if n.local {
 		n.cost.LocalLines += priced

@@ -323,6 +323,34 @@ func TestNodeLookupHitAllocs(t *testing.T) {
 	}
 }
 
+// TestNodeLookupFillAllocs pins 0 allocs/op on the miss path: a walk
+// that fills the cache slot by value. Two pages share the one slot of a
+// single-slot cache, so every lookup of the alternation misses and
+// refills.
+func TestNodeLookupFillAllocs(t *testing.T) {
+	r := mustNew(t, Config{Stripes: 16, CacheSlots: 1, Replicas: 2},
+		func() pagetable.PageTable { return core.MustNew(core.Config{Buckets: 256}) })
+	pages := [2]addr.VPN{0x40, 0x1234}
+	for i, vpn := range pages {
+		if err := r.Map(vpn, addr.PPN(0x80+i), pte.AttrR); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := r.Node(1)
+	if allocs := testing.AllocsPerRun(200, func() {
+		for _, vpn := range pages {
+			if _, ok := n.Lookup(addr.VAOf(vpn)); !ok {
+				t.Fatalf("vpn %#x missed", uint64(vpn))
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("fill path allocates %.1f allocs/op, want 0", allocs)
+	}
+	if c := n.Cost(); c.Hits != 0 || c.Fills == 0 {
+		t.Errorf("cost %+v: want every lookup a fill", c)
+	}
+}
+
 func TestReplicatedDemote(t *testing.T) {
 	r := newReplicated(t, 2)
 	// Compact-PTE demotion rides through the follower test and the

@@ -44,7 +44,7 @@ func GuardedSweep(p trace.Profile) (GuardedRow, error) {
 				return row, fmt.Errorf("sim: fixed tree lost %#x", uint64(vpn))
 			}
 			if err := g.Map(vpn, e.PPN, e.Attr); err != nil {
-				return row, err
+				return row, fmt.Errorf("sim: guarded map %#x: %w", uint64(vpn), err)
 			}
 		}
 		for _, vpn := range snap.AllPages() {

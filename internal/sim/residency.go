@@ -129,13 +129,14 @@ func RunResidency(p trace.Profile, cfg ResidencyConfig) (ResidencyRow, error) {
 			churned := 0
 			return func(refs int, va addr.V, c *walkCost) error {
 				// Program data churns every cache (same stream for all)
-				// once per reference, before that reference's walk. The
-				// caches are read only here, so the churn of the
-				// references since the last miss catches up first.
+				// with DataLinesPerRef fresh lines per reference, before
+				// that reference's walk. The caches are read only here,
+				// so the churn of the references since the last miss
+				// catches up first.
 				for ; churned < refs; churned++ {
-					dataLine := dataRng.Uint64() % (uint64(cfg.CacheBytes) * 4 / 256)
-					for _, ch := range caches {
-						for d := 0; d < cfg.DataLinesPerRef; d++ {
+					for d := 0; d < cfg.DataLinesPerRef; d++ {
+						dataLine := dataRng.Uint64() % (uint64(cfg.CacheBytes) * 4 / 256)
+						for _, ch := range caches {
 							ch.Access(dataLine * 256)
 						}
 					}

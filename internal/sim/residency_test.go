@@ -45,6 +45,27 @@ func TestResidencyDeterministic(t *testing.T) {
 	}
 }
 
+func TestResidencyDataLinesChurn(t *testing.T) {
+	// Each reference churns DataLinesPerRef distinct data lines, so more
+	// data competition must evict more page-table lines.
+	run := func(dataLines int) ResidencyRow {
+		t.Helper()
+		row, err := RunResidency(profile(t, "ML"), ResidencyConfig{
+			Refs: 60_000, CacheBytes: 128 << 10, DataLinesPerRef: dataLines, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	one, three := run(1), run(3)
+	for _, name := range []string{"clustered", "hashed"} {
+		if three.MissedPerMiss[name] <= one.MissedPerMiss[name] {
+			t.Errorf("%s: missed %.4f at 3 data lines/ref, %.4f at 1: extra data lines evict nothing",
+				name, three.MissedPerMiss[name], one.MissedPerMiss[name])
+		}
+	}
+}
+
 func TestSwTLBSweepForwardMapped(t *testing.T) {
 	// §7: "A software TLB … makes it practical to use a slower
 	// forward-mapped page table": with a 4096-entry front-end, most
