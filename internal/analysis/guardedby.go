@@ -550,7 +550,7 @@ func (w *gbWalker) stmt(s ast.Stmt, held map[string]int) {
 // loop, but only when the body cannot escape early: a body containing
 // return/break/continue/goto may leave the locks in either state, so
 // its effects are discarded (service.Reset's lock-all-stripes loop
-// propagates; swtlb.Lookup's unlock-then-return probe loop does not).
+// propagates; a probe loop that unlocks and returns on a hit does not).
 func (w *gbWalker) mergeLoop(body *ast.BlockStmt, held, after map[string]int) {
 	if loopHasExits(body) {
 		return

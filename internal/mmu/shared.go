@@ -13,7 +13,9 @@ import (
 // Access, so reads need the same serialization as writes. Translate
 // bundles the common service pattern — probe, and fill on a miss —
 // under one critical section so two racing misses for the same page
-// cannot interleave their probe and fill.
+// cannot interleave their probe and fill. The levels themselves
+// (tlb.TLB, swtlb.Cache, walkcache.PWC) take no locks, so Shared is
+// their only serializer.
 type Shared struct {
 	mu sync.Mutex
 	// h's model state (per-level LRU, MRU filters, walk-cache tags,

@@ -13,7 +13,8 @@ import (
 // TestSharedConcurrentTranslate hammers one Shared hierarchy from many
 // goroutines — translates, invalidates, shootdowns — and then checks
 // the counters still add up. Run under -race (CI's default), this is
-// the data-race gate for the //ptlint:guardedby annotations on Shared.
+// the data-race gate for the //ptlint:guardedby annotations on Shared
+// and for the lock-free swtlb.Cache L2 behind it.
 func TestSharedConcurrentTranslate(t *testing.T) {
 	l1 := tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: 8})
 	sh := mmu.NewShared(mmu.NewHierarchy(l1).AddLevel(mmu.LevelSpec{Level: newL2(t, 64).AsLevel()}))

@@ -152,9 +152,10 @@ func RunFigure11(f Figure, p trace.Profile, cfg AccessConfig) (AccessRow, error)
 // translation pipeline in mmus (cfg.MMU is ignored), index-aligned with
 // mmus. Every pipeline sees the same reference stream through one
 // shared L1 stage — the reference TLB and each linear variant's main
-// TLB — and each variant's walk is done once per L1 miss; only the L2
-// probes, the page-walk caches and the line charges run per pipeline.
-// Each row equals the RunFigure11 row for that pipeline alone.
+// TLB — and each variant's walk is done once per L1 miss; the L2
+// probes run once per L2 geometry, and only the page-walk caches and
+// the line charges run per pipeline. Each row equals the RunFigure11
+// row for that pipeline alone.
 //
 // Sharing the L1 is exact only while its refill does not depend on the
 // pipeline: an L2 hit refills the L1 with mmu.BaseEntry, a walk with the
@@ -219,14 +220,20 @@ type figureState struct {
 	pwcUpper int
 }
 
-// tailState is one MMU pipeline's private levels below the shared L1:
-// the unified L2 TLB shared by the non-reserved-TLB variants (nil when
+// tailState is one MMU pipeline's levels below the shared L1: the
+// unified L2 TLB shared by the non-reserved-TLB variants (nil when
 // flat) — hit/miss outcomes are variant-independent, so one level models
 // all of them — the tree-walked variant's page-walk cache (nil without
-// one), and each linear variant's private levels. refStage evolves l2
-// and pwc, linLane the lins.
+// one), and each linear variant's levels. refStage evolves l2 and pwc,
+// linLane the lins.
+//
+// Pipelines with the same L2 geometry share one L2 state — l2 and every
+// lins[li].l2 and lins[li].pt — which only the first of them, the one
+// whose l2Of is its own index, probes and fills (stages.go says why
+// that is exact).
 type tailState struct {
 	l2   *swtlb.Cache
+	l2Of int
 	pwc  *walkcache.PWC
 	lins []linTail // index-aligned with figureState.lins
 }
@@ -245,11 +252,11 @@ type linState struct {
 	upper uint32
 }
 
-// linTail is one pipeline's private state for one linear variant: the
-// small TLB caching mappings to the page-table pages, and under a
-// multi-level MMU a private L2 TLB and nested-walk cache — the linear
-// main-TLB miss stream differs from the reference TLB's, so the
-// tail's own l2 and pwc cannot serve it.
+// linTail is one pipeline's state for one linear variant: the small TLB
+// caching mappings to the page-table pages, and under a multi-level MMU
+// an L2 TLB and nested-walk cache of its own — the linear main-TLB miss
+// stream differs from the reference TLB's, so the tail's l2 and pwc
+// cannot serve it. pt and l2 are shared like tailState.l2.
 type linTail struct {
 	pt  *tlb.TLB
 	l2  *swtlb.Cache
@@ -336,19 +343,32 @@ func newFigureState(k kernel, snap trace.ProcessSnapshot, cfg AccessConfig, mmus
 		linTables = append(linTables, lt)
 	}
 
-	for _, m := range mmus {
-		tl := &tailState{l2: m.newL2(cfg.LineModel), lins: make([]linTail, len(st.lins))}
+	owners := map[[2]int]*tailState{} // by L2 geometry
+	for t, m := range mmus {
+		tl := &tailState{l2Of: t, lins: make([]linTail, len(st.lins))}
+		g := m.l2Geometry()
+		if o, ok := owners[g]; ok {
+			tl.l2, tl.l2Of = o.l2, o.l2Of
+			for li := range st.lins {
+				tl.lins[li].l2, tl.lins[li].pt = o.lins[li].l2, o.lins[li].pt
+			}
+		} else {
+			owners[g] = tl
+			tl.l2 = m.newL2(cfg.LineModel)
+			for li := range st.lins {
+				lt := &tl.lins[li]
+				if lt.pt, err = tlb.New(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li]}); err != nil {
+					return nil, err
+				}
+				lt.l2 = m.newL2(cfg.LineModel)
+			}
+		}
 		if m.PWC && pwcTable != nil {
 			tl.pwc = m.newPWC(pwcTable)
 		}
 		for li := range st.lins {
-			lt := &tl.lins[li]
-			if lt.pt, err = tlb.New(tlb.Config{Kind: tlb.SinglePageSize, Entries: reserved[li]}); err != nil {
-				return nil, err
-			}
-			lt.l2 = m.newL2(cfg.LineModel)
 			if m.PWC {
-				lt.pwc = m.newPWC(linTables[li])
+				tl.lins[li].pwc = m.newPWC(linTables[li])
 			}
 		}
 		st.tails = append(st.tails, tl)

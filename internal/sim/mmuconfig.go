@@ -92,16 +92,27 @@ func (m MMUConfig) newPWC(uw pagetable.UpperWalker) *walkcache.PWC {
 	return walkcache.MustNew(walkcache.Config{Entries: m.PWCEntries, LogSpan: walkCacheSpan(uw)}, uw)
 }
 
+// l2Geometry is the L2 TLB's shape as built: its entries and effective
+// ways, {0, 0} without an L2. Pipelines of one geometry evolve
+// identical L2 state.
+func (m MMUConfig) l2Geometry() [2]int {
+	switch {
+	case m.L2Entries == 0:
+		return [2]int{}
+	case m.L2Ways == 0:
+		return [2]int{m.L2Entries, 4}
+	default:
+		return [2]int{m.L2Entries, m.L2Ways}
+	}
+}
+
 // newL2 builds one L2 TLB level, or nil when the config has none.
 func (m MMUConfig) newL2(model memcost.Model) *swtlb.Cache {
-	if m.L2Entries == 0 {
+	g := m.l2Geometry()
+	if g[0] == 0 {
 		return nil
 	}
-	ways := m.L2Ways
-	if ways == 0 {
-		ways = 4
-	}
-	return swtlb.MustNewLevel(swtlb.Config{Entries: m.L2Entries, Ways: ways, CostModel: model})
+	return swtlb.MustNewLevel(swtlb.Config{Entries: g[0], Ways: g[1], CostModel: model})
 }
 
 // baseRefill is the single-page translation an L2 hit hands up to the

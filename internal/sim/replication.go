@@ -112,7 +112,9 @@ func RunReplicationPoint(p trace.Profile, v TableVariant, factor, writePct int, 
 	if err != nil {
 		return ReplicationPoint{}, err
 	}
-	for _, vpn := range snap.AllPages() {
+	// One sorted page list serves the populate and every node's stream.
+	pages := snap.AllPages()
+	for _, vpn := range pages {
 		if err := r.Map(vpn, addr.PPN(vpn), pte.AttrR|pte.AttrW); err != nil {
 			return ReplicationPoint{}, fmt.Errorf("sim: populate %#x: %w", uint64(vpn), err)
 		}
@@ -124,7 +126,7 @@ func RunReplicationPoint(p trace.Profile, v TableVariant, factor, writePct int, 
 	streams := make([]*trace.OpStream, r.Nodes())
 	for i := range nodes {
 		nodes[i] = r.Node(i)
-		streams[i] = trace.NewOpStream(snap, trace.DeriveSeed(cfg.Seed, fmt.Sprintf("replication/node%d", i)), mix)
+		streams[i] = trace.NewOpStreamOver(pages, trace.DeriveSeed(cfg.Seed, fmt.Sprintf("replication/node%d", i)), mix)
 	}
 
 	pt := ReplicationPoint{Factor: factor, WritePct: writePct, Ops: uint64(cfg.Ops)}

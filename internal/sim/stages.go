@@ -5,8 +5,8 @@ package sim
 // inline, in stream order:
 //
 //   - refStage: the shared reference TLB's miss service. It probes
-//     every pipeline's L2 TLB, refills the reference TLB from the
-//     refill variant's words, fills the L2s and probes the
+//     each L2 state once, refills the reference TLB from the refill
+//     variant's words, fills the L2s that missed and probes the
 //     page-walk caches of the pipelines that walk, and packs each miss's
 //     outcome into a miss record.
 //   - walkLane: the read-only variant walks. It turns a miss record
@@ -17,6 +17,15 @@ package sim
 //   - linLane: every linear variant's shared main TLB and per-pipeline
 //     reserved TLB, L2 and nested-walk cache, refilled and charged from
 //     the linear build's refill words and walk lines.
+//
+// Pipelines with the same L2 geometry (entries and effective ways) share
+// one L2 state: the reference-side L2 and each linear variant's L2 and
+// reserved TLB. Only the first of them (tailState.l2Of) probes and
+// fills; the others copy its L2-hit and nested-miss bits. This is exact
+// because the L1 stage is shared (checkPipelines), so each L2 sees the
+// same probe and fill stream in every pipeline, and nothing a pipeline
+// owns alone (its page-walk caches, its line and nested counts) feeds
+// back into the L2 or the reserved TLB.
 //
 // No stage walks a page table: every walk happened once per page (and
 // Fig11d block) when the walk-cost table was built.
@@ -78,7 +87,13 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 	rec := va &^ addr.OffsetMask
 	walks := false
 	for t, tl := range st.tails {
-		if tl.l2 != nil && tl.l2.Access(va).Hit {
+		var hit bool
+		if tl.l2Of != t {
+			hit = rec&missL2Hit(tl.l2Of) != 0 // the shared L2's outcome
+		} else if tl.l2 != nil {
+			hit = tl.l2.Access(va).Hit
+		}
+		if hit {
 			rec |= missL2Hit(t)
 		} else {
 			walks = true
@@ -112,7 +127,7 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 		if rec&missL2Hit(t) != 0 {
 			continue
 		}
-		if tl.l2 != nil {
+		if tl.l2 != nil && tl.l2Of == t {
 			if block {
 				for _, be := range entries {
 					tl.l2.Insert(be)
@@ -255,7 +270,13 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 		lt := &tl.lins[li]
 		if lt.l2 != nil {
 			l.lines[t][ls.idx] += l2ProbeLines
-			if lt.l2.Access(va).Hit {
+			var hit bool
+			if tl.l2Of != t {
+				hit = hits&(1<<tl.l2Of) != 0 // the shared L2's outcome
+			} else {
+				hit = lt.l2.Access(va).Hit
+			}
+			if hit {
 				hits |= 1 << t
 				continue
 			}
@@ -293,22 +314,32 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 	// The leaf PTE lives in virtual memory: translating its page can
 	// nest-miss in the reserved entries.
 	leafVA := addr.VAOf(addr.VPN(linear.LeafPageIndex(vpn)))
+	var nested uint64 // bit t: pipeline t's reserved TLB missed
 	for t, tl := range l.tails {
 		if hits&(1<<t) != 0 {
 			continue
 		}
 		lt := &tl.lins[li]
 		l.lines[t][ls.idx] += uint64(lines)
-		if lt.l2 != nil {
-			if block {
-				for _, be := range entries {
-					lt.l2.Insert(be)
+		var missed bool
+		if tl.l2Of != t {
+			missed = nested&(1<<tl.l2Of) != 0 // the shared reserved TLB's outcome
+		} else {
+			if lt.l2 != nil {
+				if block {
+					for _, be := range entries {
+						lt.l2.Insert(be)
+					}
+				} else {
+					lt.l2.Insert(e)
 				}
-			} else {
-				lt.l2.Insert(e)
+			}
+			if missed = !lt.pt.Access(leafVA).Hit; missed {
+				lt.pt.Insert(pteForLeaf(vpn))
 			}
 		}
-		if !lt.pt.Access(leafVA).Hit {
+		if missed {
+			nested |= 1 << t
 			w := uint64(ls.upper)
 			if lt.pwc != nil && lt.pwc.Probe(vpn) {
 				// A walk-cache hit skips the upper directories: only the
@@ -316,7 +347,6 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 				w = 1
 			}
 			l.lines[t][ls.idx] += w
-			lt.pt.Insert(pteForLeaf(vpn))
 			l.nested[t]++
 		}
 	}

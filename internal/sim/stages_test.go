@@ -162,6 +162,24 @@ func TestFigure11PipelinesMatchSeparate(t *testing.T) {
 		mmus = append(mmus, m)
 	}
 	reordered := []int{2, 0, 1} // l2+pwc, flat, l2
+	gcc, ok := trace.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("no gcc profile")
+	}
+	// The two L2 pipelines evolve one L2 and one set of linear reserved
+	// TLBs; the flat pipeline has no L2.
+	st, err := newFigureState(figureKernel(Fig11a), gcc.Snapshot()[0], AccessConfig{Entries: 64}, mmus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl := st.tails; tl[0].l2 != nil || tl[1].l2 == nil || tl[1].l2 != tl[2].l2 || tl[2].l2Of != 1 {
+		t.Errorf("l2 and l2+pwc do not share one L2 (l2Of %d, %d, %d)", tl[0].l2Of, tl[1].l2Of, tl[2].l2Of)
+	}
+	for li := range st.lins {
+		if tl := st.tails; tl[1].lins[li].pt != tl[2].lins[li].pt || tl[0].lins[li].pt == tl[1].lins[li].pt {
+			t.Errorf("linear %d: reserved TLBs shared across the wrong pipelines", li)
+		}
+	}
 	for _, p := range trace.Profiles() {
 		if p.SnapshotOnly {
 			continue
@@ -195,10 +213,6 @@ func TestFigure11PipelinesMatchSeparate(t *testing.T) {
 		}
 	}
 
-	gcc, ok := trace.ProfileByName("gcc")
-	if !ok {
-		t.Fatal("no gcc profile")
-	}
 	// The most pipelines the miss record holds: the last pipeline's bits
 	// sit at the top of the page offset.
 	full := make([]MMUConfig, maxTails)
@@ -226,5 +240,62 @@ func TestFigure11PipelinesMatchSeparate(t *testing.T) {
 	}
 	if _, err := RunFigure11Pipelines(Fig11a, gcc, AccessConfig{Refs: 2_000}, make([]MMUConfig, maxTails+1)); err == nil {
 		t.Errorf("%d pipelines accepted; the miss record holds %d", maxTails+1, maxTails)
+	}
+}
+
+// TestFigure11PipelinesMixedGeometries fuses pipelines of different L2
+// geometries: each row must still equal its separate RunFigure11 row,
+// and only pipelines of one geometry (entries and effective ways: an
+// unset L2Ways is 4) may share an L2 state. The third pipeline shares
+// the first one's L2 but keeps its own page-walk cache.
+func TestFigure11PipelinesMixedGeometries(t *testing.T) {
+	gcc, ok := trace.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("no gcc profile")
+	}
+	mmus := []MMUConfig{
+		{L2Entries: 1024, L2Ways: 4},
+		{L2Entries: 512, L2Ways: 2},
+		{L2Entries: 1024, PWC: true, PWCEntries: 16},
+	}
+	rows, err := RunFigure11Pipelines(Fig11a, gcc, AccessConfig{Refs: 30_000}, mmus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range mmus {
+		want, err := RunFigure11(Fig11a, gcc, AccessConfig{Refs: 30_000, MMU: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		figureRowsEqual(t, fmt.Sprintf("gcc/L2 %dx%d pwc=%v", m.L2Entries, m.L2Ways, m.PWC), rows[i], want)
+	}
+
+	st, err := newFigureState(figureKernel(Fig11a), gcc.Snapshot()[0], AccessConfig{Entries: 64}, mmus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.lins) == 0 {
+		t.Fatal("Fig11a has no linear variant: the reserved-TLB sharing goes unchecked")
+	}
+	tl := st.tails
+	if tl[2].l2 != tl[0].l2 || tl[2].l2Of != 0 || tl[0].l2Of != 0 {
+		t.Errorf("{1024,0} does not share {1024,4}'s L2 (l2Of %d, %d)", tl[0].l2Of, tl[2].l2Of)
+	}
+	if tl[1].l2 == tl[0].l2 || tl[1].l2Of != 1 {
+		t.Errorf("{512,2} shares another geometry's L2 (l2Of %d)", tl[1].l2Of)
+	}
+	if tl[0].pwc != nil || tl[2].pwc == nil {
+		t.Errorf("page-walk caches not per pipeline: %v, %v", tl[0].pwc, tl[2].pwc)
+	}
+	for li := range st.lins {
+		if tl[2].lins[li].l2 != tl[0].lins[li].l2 || tl[2].lins[li].pt != tl[0].lins[li].pt {
+			t.Errorf("linear %d: {1024,0} does not share {1024,4}'s L2 and reserved TLB", li)
+		}
+		if tl[1].lins[li].l2 == tl[0].lins[li].l2 || tl[1].lins[li].pt == tl[0].lins[li].pt {
+			t.Errorf("linear %d: {512,2} shares another geometry's state", li)
+		}
+		if tl[2].lins[li].pwc == nil || tl[0].lins[li].pwc != nil {
+			t.Errorf("linear %d: nested-walk caches not per pipeline", li)
+		}
 	}
 }

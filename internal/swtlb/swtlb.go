@@ -8,11 +8,14 @@
 // clustered subblock factor than the cache line size would otherwise
 // dictate; the Clustered mode implements that variant with one page block
 // per entry.
+//
+// A Cache is a single-goroutine model and is not safe for concurrent
+// use; mmu.Shared is the serializer for a hierarchy that goroutines
+// share.
 package swtlb
 
 import (
 	"fmt"
-	"sync"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
@@ -61,13 +64,14 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// entry is one software-TLB slot: a tag and either one mapping word or a
-// block of them (Clustered mode).
+// entry is one software-TLB slot: a tag and, outside Clustered mode,
+// the one cached mapping word (Clustered mode keeps each slot's block
+// of words in Cache.blocks instead).
 type entry struct {
-	valid bool
 	tag   uint64 // VPN, or VPBN in Clustered mode
-	words []pte.Word
 	lru   uint64
+	word  pte.Word
+	valid bool
 }
 
 // Stats counts software-TLB traffic in the hierarchy-wide shape
@@ -81,16 +85,26 @@ type Stats = mmu.Stats
 // Cache built with NewLevel instead carries no backing table and serves
 // as a pure mmu.Level (the L2 of a translation hierarchy): only the
 // Level surface plus Probe and Invalidate are usable in that mode.
+//
+// A Cache is a single-goroutine model, like tlb.TLB and walkcache.PWC:
+// every probe moves its replacement state, so it is not safe for
+// concurrent use. Goroutines that share a hierarchy go through
+// mmu.Shared, which serializes every call into its levels.
 type Cache struct {
 	cfg     Config
 	backing pagetable.PageTable
 
-	mu    sync.Mutex
-	sets  [][]entry //ptlint:guardedby mu
-	tick  uint64    //ptlint:guardedby mu
-	stats Stats     //ptlint:guardedby mu
+	// slots holds the sets back to back, Ways slots per set; setMask
+	// selects a set from a key.
+	slots   []entry
+	setMask uint64
+	// blocks holds Clustered mode's page blocks, 1<<LogSBF words per
+	// slot in slot order; nil otherwise.
+	blocks []pte.Word
+	tick   uint64
+	stats  Stats
 	// block is the Clustered fill's gather buffer, reused by every fill.
-	block []pte.Entry //ptlint:guardedby mu
+	block []pte.Entry
 }
 
 // New creates a software TLB over the backing table.
@@ -123,12 +137,16 @@ func newCache(cfg Config, backing pagetable.PageTable) (*Cache, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	nsets := cfg.Entries / cfg.Ways
-	sets := make([][]entry, nsets)
-	for i := range sets {
-		sets[i] = make([]entry, cfg.Ways)
+	c := &Cache{
+		cfg:     cfg,
+		backing: backing,
+		slots:   make([]entry, cfg.Entries),
+		setMask: uint64(cfg.Entries/cfg.Ways - 1),
 	}
-	return &Cache{cfg: cfg, backing: backing, sets: sets}, nil
+	if cfg.Clustered {
+		c.blocks = make([]pte.Word, cfg.Entries<<cfg.LogSBF)
+	}
+	return c, nil
 }
 
 // MustNew is New for known-good configurations; it panics on error.
@@ -169,69 +187,68 @@ func (c *Cache) key(vpn addr.VPN) uint64 {
 	return uint64(vpn)
 }
 
-func (c *Cache) setFor(key uint64) []entry {
-	return c.sets[key&uint64(len(c.sets)-1)]
+// setStart is the index in c.slots of key's set's first way.
+func (c *Cache) setStart(key uint64) int { return int(key&c.setMask) * c.cfg.Ways }
+
+// blockOf returns slot i's page block (Clustered mode).
+func (c *Cache) blockOf(i int) []pte.Word {
+	n := 1 << c.cfg.LogSBF
+	return c.blocks[i*n : (i+1)*n]
 }
 
-// Probe looks up va in the cache alone: the set probe with its cost,
-// no backing walk, no fill. It is the Level-mode lookup path and the
-// first half of Lookup; a hit costs one cache line (§7: "reduce the TLB
-// miss penalty to a single memory access on a hit"), a miss pays the
-// failed probe over the set's tags.
-func (c *Cache) Probe(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
-	return c.probe(va, true)
-}
-
-// probe is Probe; metered=false skips the line accounting for callers
-// that need only the outcome.
-func (c *Cache) probe(va addr.V, metered bool) (pte.Entry, pagetable.WalkCost, bool) {
-	vpn := addr.VPNOf(va)
+// lookup is the probe every surface shares: it advances the clock,
+// counts the access, and on a hit stamps the slot's LRU and returns
+// its index in c.slots; a miss returns -1. A Clustered slot whose block
+// lacks the page is a miss.
+func (c *Cache) lookup(vpn addr.VPN) int {
 	key := c.key(vpn)
-
-	c.mu.Lock()
 	c.stats.Accesses++
-	set := c.setFor(key)
 	c.tick++
-	var meter memcost.Meter
-	probeCost := pagetable.WalkCost{Probes: 1, Nodes: 1}
-	for i := range set {
-		ent := &set[i]
+	first := c.setStart(key)
+	for i := first; i < first+c.cfg.Ways; i++ {
+		ent := &c.slots[i]
 		if !ent.valid || ent.tag != key {
 			continue
 		}
 		if c.cfg.Clustered {
 			_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
-			w := ent.words[boff]
-			if !w.Valid() {
+			if !c.blockOf(i)[boff].Valid() {
 				break // block cached but page absent: treat as miss
 			}
-			if metered {
-				meter.Touch(c.cfg.CostModel,
-					[2]int{0, 8}, [2]int{8 + int(boff)*pte.WordBytes, pte.WordBytes})
-				probeCost.Lines = meter.Lines()
-			}
-			ent.lru = c.tick
-			c.stats.Hits++
-			c.mu.Unlock()
-			return pte.EntryFromWord(w, vpn, boff), probeCost, true
-		}
-		if metered {
-			meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes()})
-			probeCost.Lines = meter.Lines()
 		}
 		ent.lru = c.tick
 		c.stats.Hits++
-		c.mu.Unlock()
-		return pte.EntryFromWord(ent.words[0], vpn, 0), probeCost, true
-	}
-	// Miss: the failed probe touched the set's tags.
-	if metered {
-		meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes() * len(set)})
-		probeCost.Lines = meter.Lines()
+		return i
 	}
 	c.stats.Misses++
-	c.mu.Unlock()
-	return pte.Entry{}, probeCost, false
+	return -1
+}
+
+// Probe looks up va in the cache alone: the set probe with its cost,
+// no backing walk, no fill. It is the first half of Lookup; a hit costs
+// one cache line (§7: "reduce the TLB miss penalty to a single memory
+// access on a hit"), a miss pays the failed probe over the set's tags.
+func (c *Cache) Probe(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
+	vpn := addr.VPNOf(va)
+	i := c.lookup(vpn)
+	var meter memcost.Meter
+	cost := pagetable.WalkCost{Probes: 1, Nodes: 1}
+	if i < 0 {
+		// Miss: the failed probe touched the set's tags.
+		meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes() * c.cfg.Ways})
+		cost.Lines = meter.Lines()
+		return pte.Entry{}, cost, false
+	}
+	if c.cfg.Clustered {
+		_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
+		meter.Touch(c.cfg.CostModel,
+			[2]int{0, 8}, [2]int{8 + int(boff)*pte.WordBytes, pte.WordBytes})
+		cost.Lines = meter.Lines()
+		return pte.EntryFromWord(c.blockOf(i)[boff], vpn, boff), cost, true
+	}
+	meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes()})
+	cost.Lines = meter.Lines()
+	return pte.EntryFromWord(c.slots[i].word, vpn, 0), cost, true
 }
 
 // Lookup implements pagetable.PageTable: the Probe, plus on a miss the
@@ -241,36 +258,38 @@ func (c *Cache) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	if hit {
 		return e, probeCost, true
 	}
-	vpn := addr.VPNOf(va)
 	e, walk, ok := c.backing.Lookup(va)
 	probeCost.Add(walk)
 	if !ok {
 		return pte.Entry{}, probeCost, false
 	}
-	c.fill(vpn, c.key(vpn), e)
+	c.fill(addr.VPNOf(va), e)
 	return e, probeCost, true
 }
 
-// Access implements mmu.Level: the probe alone, hit/miss outcome.
+// Access implements mmu.Level: a tag-only probe. It moves the clock,
+// the LRU and the counters exactly as Probe does, but neither meters
+// lines nor decodes the cached entry; the hierarchy charges its own
+// probe cost.
 func (c *Cache) Access(va addr.V) mmu.Result {
-	_, _, hit := c.probe(va, false)
-	return mmu.Result{Hit: hit}
+	return mmu.Result{Hit: c.lookup(addr.VPNOf(va)) >= 0}
 }
 
 // Insert implements mmu.Level, filling the slot for a translation the
 // caller's walk produced.
 func (c *Cache) Insert(e pte.Entry) {
-	c.fill(e.VPN, c.key(e.VPN), e)
+	c.fill(e.VPN, e)
 }
 
 // Flush implements mmu.Level (the shootdown alias of InvalidateAll).
 func (c *Cache) Flush() { c.InvalidateAll() }
 
-// fill installs a translation after a miss.
-func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	set := c.setFor(key)
+// fill installs a translation after a miss. The victim is the set's
+// first invalid slot, else its least recently used one.
+func (c *Cache) fill(vpn addr.VPN, e pte.Entry) {
+	key := c.key(vpn)
+	first := c.setStart(key)
+	set := c.slots[first : first+c.cfg.Ways]
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -285,38 +304,25 @@ func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
 	ent.valid = true
 	ent.tag = key
 	ent.lru = c.tick
-	if c.cfg.Clustered {
-		_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
-		ent.words = reuseWords(ent.words, 1<<c.cfg.LogSBF)
-		ent.words[boff] = wordFromEntry(e)
-		// Gather the rest of the block when the backing table can do it
-		// cheaply (clustered/linear adjacency).
-		if br, okBR := c.backing.(pagetable.BlockReader); okBR {
-			vpbn, _ := addr.BlockSplit(vpn, c.cfg.LogSBF)
-			var okB bool
-			if c.block, _, okB = br.AppendBlock(c.block[:0], vpbn, c.cfg.LogSBF); okB {
-				for _, be := range c.block {
-					_, bo := addr.BlockSplit(be.VPN, c.cfg.LogSBF)
-					ent.words[bo] = wordFromEntry(be)
-				}
-			}
-		}
+	if !c.cfg.Clustered {
+		ent.word = wordFromEntry(e)
 		return
 	}
-	ent.words = append(reuseWords(ent.words, 0), wordFromEntry(e))
-}
-
-// reuseWords returns n cleared words, reusing the victim slot's backing
-// array when it is large enough: fills replace victims millions of
-// times per replay, and nothing outside the locked slot retains its
-// words.
-func reuseWords(words []pte.Word, n int) []pte.Word {
-	if cap(words) < n {
-		return make([]pte.Word, n)
-	}
-	words = words[:n]
+	vpbn, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
+	words := c.blockOf(first + victim)
 	clear(words)
-	return words
+	words[boff] = wordFromEntry(e)
+	// Gather the rest of the block when the backing table can do it
+	// cheaply (clustered/linear adjacency).
+	if br, okBR := c.backing.(pagetable.BlockReader); okBR {
+		var okB bool
+		if c.block, _, okB = br.AppendBlock(c.block[:0], vpbn, c.cfg.LogSBF); okB {
+			for _, be := range c.block {
+				_, bo := addr.BlockSplit(be.VPN, c.cfg.LogSBF)
+				words[bo] = wordFromEntry(be)
+			}
+		}
+	}
 }
 
 // wordFromEntry reconstructs a base mapping word for caching. Superpage
@@ -329,29 +335,25 @@ func wordFromEntry(e pte.Entry) pte.Word {
 // Invalidate drops any cached translation for vpn.
 func (c *Cache) Invalidate(vpn addr.VPN) {
 	key := c.key(vpn)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	set := c.setFor(key)
-	for i := range set {
-		if set[i].valid && set[i].tag == key {
-			if c.cfg.Clustered {
-				_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
-				set[i].words[boff] = pte.Invalid
-			} else {
-				set[i].valid = false
-			}
+	first := c.setStart(key)
+	for i := first; i < first+c.cfg.Ways; i++ {
+		ent := &c.slots[i]
+		if !ent.valid || ent.tag != key {
+			continue
+		}
+		if c.cfg.Clustered {
+			_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
+			c.blockOf(i)[boff] = pte.Invalid
+		} else {
+			ent.valid = false
 		}
 	}
 }
 
 // InvalidateAll empties the cache.
 func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i].valid = false
-		}
+	for i := range c.slots {
+		c.slots[i].valid = false
 	}
 }
 
@@ -402,11 +404,7 @@ func (c *Cache) Stats() pagetable.Stats { return c.backing.Stats() }
 // CacheStats reports software-TLB traffic (alias of the Level-surface
 // Stats, kept for the PageTable-mode callers where Stats means the
 // backing table's operation counts).
-func (c *Cache) CacheStats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Cache) CacheStats() Stats { return c.stats }
 
 // LevelStats reports software-TLB traffic under the mmu.Level surface.
 // The method cannot be named Stats — that slot is taken by the
@@ -414,11 +412,7 @@ func (c *Cache) CacheStats() Stats {
 func (c *Cache) LevelStats() Stats { return c.CacheStats() }
 
 // ResetStats clears the traffic counters, keeping contents.
-func (c *Cache) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-}
+func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Level adapts a Cache to mmu.Level. The only indirection is Stats:
 // Cache.Stats is claimed by pagetable.PageTable (backing-table operation

@@ -1,11 +1,13 @@
 package swtlb
 
 import (
+	"fmt"
 	"testing"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/core"
 	"clusterpt/internal/hashed"
+	"clusterpt/internal/mmu"
 	"clusterpt/internal/pte"
 )
 
@@ -102,6 +104,74 @@ func TestEvictionLRU(t *testing.T) {
 	c2.Lookup(addr.VAOf(4))
 	if st := c2.CacheStats(); st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("2-way stats = %+v", st)
+	}
+}
+
+// TestVictimOrder pins the replacement rule on the flat slot layout at
+// 1, 2 and 4 ways: a fill takes its set's first invalid way, else the
+// least recently used one. Every fill follows a missing Access, as in
+// a hierarchy, so each slot's LRU stamp is distinct — except in the
+// last step, which pins the tie-break.
+func TestVictimOrder(t *testing.T) {
+	for _, ways := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			// Two sets; even pages all land in set 0.
+			c := MustNewLevel(Config{Entries: 2 * ways, Ways: ways})
+			way := func(page int) int {
+				for i, ent := range c.slots[:ways] {
+					if ent.valid && ent.tag == uint64(2*page) {
+						return i
+					}
+				}
+				return -1
+			}
+			fill := func(page, wantWay int) {
+				t.Helper()
+				va := addr.VAOf(addr.VPN(2 * page))
+				if c.Access(va).Hit {
+					t.Fatalf("page %d hit before its fill", page)
+				}
+				c.Insert(mmu.BaseEntry(addr.VPN(2 * page)))
+				if got := way(page); got != wantWay {
+					t.Fatalf("page %d filled way %d, want %d", page, got, wantWay)
+				}
+			}
+			// Empty set: the ways fill in index order.
+			for p := 0; p < ways; p++ {
+				fill(p, p)
+			}
+			// Touch the ways in reverse, so way ways-1 is least recent;
+			// the next fills evict in that order.
+			for p := ways - 1; p >= 0; p-- {
+				if !c.Access(addr.VAOf(addr.VPN(2 * p))).Hit {
+					t.Fatalf("page %d missed", p)
+				}
+			}
+			for k := 0; k < ways; k++ {
+				fill(ways+k, ways-1-k)
+			}
+			// An invalid way beats the least recently used one, even when
+			// it held the most recent page; the lowest invalid goes first.
+			next := 2 * ways
+			c.Invalidate(addr.VPN(2 * (2*ways - 1))) // way 0, most recent
+			fill(next, 0)
+			next++
+			if ways == 4 {
+				c.Invalidate(addr.VPN(2 * (ways + 1))) // way 2
+				c.Invalidate(addr.VPN(2 * (ways + 2))) // way 1
+				fill(next, 1)
+				fill(next+1, 2)
+			}
+			// Fills with no Access between them (a block refill) share
+			// one stamp; among equal stamps the lowest way goes first.
+			c.InvalidateAll()
+			for p := 0; p <= ways; p++ {
+				c.Insert(mmu.BaseEntry(addr.VPN(2 * (next + 2 + p))))
+			}
+			if got := way(next + 2 + ways); got != 0 {
+				t.Errorf("tied fill took way %d, want 0", got)
+			}
+		})
 	}
 }
 

@@ -90,10 +90,16 @@ type OpStream struct {
 // NewOpStream builds a stream over s's mapped pages. It panics if the mix
 // has no weight or the snapshot no pages — both programming errors.
 func NewOpStream(s ProcessSnapshot, seed uint64, mix OpMix) *OpStream {
+	return NewOpStreamOver(s.AllPages(), seed, mix)
+}
+
+// NewOpStreamOver is NewOpStream over a page list already built by
+// ProcessSnapshot.AllPages. The stream only reads pages, so streams over
+// one snapshot may share one list.
+func NewOpStreamOver(pages []addr.VPN, seed uint64, mix OpMix) *OpStream {
 	if mix.total() <= 0 {
 		panic("trace: OpMix with no weight")
 	}
-	pages := s.AllPages()
 	if len(pages) == 0 {
 		panic("trace: OpStream over empty snapshot")
 	}

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"clusterpt/internal/addr"
 )
@@ -39,11 +39,11 @@ func (s ProcessSnapshot) MappedPages() uint64 {
 
 // AllPages returns every mapped VPN, ascending.
 func (s ProcessSnapshot) AllPages() []addr.VPN {
-	var out []addr.VPN
+	out := make([]addr.VPN, 0, s.MappedPages())
 	for _, r := range s.Regions {
 		out = append(out, r.Pages...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
