@@ -62,13 +62,15 @@ bench-alloc:
 	| $(GO) run ./cmd/benchjson > BENCH_alloc.json
 
 # bench-replay measures the reference-replay fast path — indexed TLB
-# lookup per kind at 64–1024 entries, buffered zero-alloc trace
-# generation, and the end-to-end Figure 11a and 11d replays (the fig11d
-# rows are the only ones that gather page blocks) — and snapshots the
+# lookup per kind at 64–1024 entries, the word fill core per kind and
+# the complete-subblock block fill (BenchmarkRefill), buffered
+# zero-alloc trace generation, and the end-to-end Figure 11a and 11d
+# replays (the fig11d rows are the only ones that prefetch page
+# blocks) — and snapshots the
 # result as BENCH_replay.json. Regenerate after TLB or replay changes
 # and commit the diff.
 bench-replay:
-	{ $(GO) test -run '^$$' -bench BenchmarkAccess -benchmem -count 3 ./internal/tlb/ ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkRefill' -benchmem -count 3 ./internal/tlb/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkGeneratorFill -benchmem -count 3 ./internal/trace/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkFigure11Replay -benchmem -count 3 ./internal/sim/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_replay.json

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/pte"
+	"clusterpt/internal/mmu"
 	"clusterpt/internal/report"
 	"clusterpt/internal/sim"
 	"clusterpt/internal/tlb"
@@ -620,7 +620,7 @@ func runPartition(ctx context.Context, rc *RunContext) (*Result, error) {
 // runPartitionCell replays one workload's first process against a
 // shared TLB and a ShardPlan-routed partitioned TLB.
 func runPartitionCell(p trace.Profile, k, refs int, seed uint64) (partitionRow, error) {
-	snap := p.Snapshot()[0]
+	snap := p.ProcSnapshot(0)
 	plan := trace.ShardPlan(snap, k)
 	pageShard := make(map[addr.VPN]int)
 	ri := 0
@@ -643,13 +643,13 @@ func runPartitionCell(p trace.Profile, k, refs int, seed uint64) (partitionRow, 
 	gen := trace.NewGenerator(snap, seed)
 	for i := 0; i < refs; i++ {
 		va := gen.Next()
+		// Only the tags matter to the miss counts: fill the base word.
 		vpn := addr.VPNOf(va)
-		e := pte.Entry{VPN: vpn, PPN: addr.PPN(vpn), Size: addr.Size4K, Kind: pte.KindBase}
 		if !shared.Access(va).Hit {
-			shared.Insert(e)
+			shared.InsertWord(vpn, mmu.BaseWord())
 		}
 		if !part.Access(va).Hit {
-			part.Insert(e)
+			part.InsertWord(vpn, mmu.BaseWord())
 		}
 	}
 	if shared.Stats().Misses == 0 {

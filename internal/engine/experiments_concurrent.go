@@ -122,7 +122,7 @@ func runLookupRung(svc *service.Service, pages []addr.VPN, total, g int, seed ui
 }
 
 func runConcurrentLookup(ctx context.Context, rc *RunContext) (*Result, error) {
-	snap := mustProfile("gcc").Snapshot()[0]
+	snap := mustProfile("gcc").ProcSnapshot(0)
 	pages := snap.AllPages()
 	total := rc.Refs
 
@@ -180,7 +180,7 @@ func runConcurrentLookup(ctx context.Context, rc *RunContext) (*Result, error) {
 }
 
 func runConcurrentMixed(ctx context.Context, rc *RunContext) (*Result, error) {
-	snap := mustProfile("gcc").Snapshot()[0]
+	snap := mustProfile("gcc").ProcSnapshot(0)
 	const workers = 8
 	total := rc.Refs
 

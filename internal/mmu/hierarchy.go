@@ -33,15 +33,18 @@ type LevelSpec struct {
 //
 // The Hierarchy is a model, not a translator: levels answer hit/miss
 // and evolve replacement state, while translations flow from the
-// caller's table walk into Insert. On a lower-level hit the upper
-// levels are refilled with the base-page translation for the faulting
-// address (BaseEntry) — a hierarchy refill never recovers superpage or
-// subblock coverage; only a full walk does.
+// caller's table walk into Insert (or InsertWord). On a lower-level hit
+// the upper levels are refilled with the base-page word for the faulting
+// address (BaseWord) — a hierarchy refill never recovers superpage or
+// subblock coverage; only a full walk does. Every level must implement
+// WordInserter: fills reach the levels as packed words.
 //
 // A Hierarchy is single-threaded, like the TLB models it composes;
 // wrap it in Shared for concurrent callers.
 type Hierarchy struct {
 	levels []LevelSpec
+	// fills is index-aligned with levels: each level's word fill core.
+	fills  []WordInserter
 	filter WalkFilter
 
 	lowerHits []uint64 // lowerHits[i] = hits at levels[i], i >= 1
@@ -49,17 +52,21 @@ type Hierarchy struct {
 	probeCost pagetable.WalkCost
 }
 
-// NewHierarchy builds a flat (single-level) hierarchy over l1.
+// NewHierarchy builds a flat (single-level) hierarchy over l1, which
+// must implement WordInserter.
 func NewHierarchy(l1 Level) *Hierarchy {
-	h := &Hierarchy{}
-	h.levels = append(h.levels, LevelSpec{Level: l1})
-	h.lowerHits = append(h.lowerHits, 0)
-	return h
+	return (&Hierarchy{}).AddLevel(LevelSpec{Level: l1})
 }
 
-// AddLevel appends a lower caching level with its probe costs.
+// AddLevel appends a lower caching level with its probe costs. The
+// level must implement WordInserter; AddLevel panics otherwise.
 func (h *Hierarchy) AddLevel(spec LevelSpec) *Hierarchy {
+	wi, ok := spec.Level.(WordInserter)
+	if !ok {
+		panic("mmu: level " + spec.Level.Name() + " has no word fill (WordInserter)")
+	}
 	h.levels = append(h.levels, spec)
+	h.fills = append(h.fills, wi)
 	h.lowerHits = append(h.lowerHits, 0)
 	return h
 }
@@ -113,11 +120,11 @@ func (h *Hierarchy) Access(va addr.V) Result {
 		if lr.Hit {
 			h.lowerHits[i]++
 			h.probeCost.Add(spec.HitCost)
-			e := BaseEntry(addr.VPNOf(va))
+			vpn, w := addr.VPNOf(va), BaseWord()
 			for j := i - 1; j >= 1; j-- {
-				h.levels[j].Level.Insert(e)
+				h.fills[j].InsertWord(vpn, w)
 			}
-			h.levels[0].Level.Insert(e)
+			h.fills[0].InsertWord(vpn, w)
 			return Result{Hit: true, SubblockMiss: r.SubblockMiss}
 		}
 		h.probeCost.Add(spec.MissCost)
@@ -137,12 +144,17 @@ func (h *Hierarchy) FilterWalk(vpn addr.VPN, cost pagetable.WalkCost) pagetable.
 	return h.filter.FilterWalk(vpn, cost)
 }
 
-// Insert implements Level: a walked translation fills every level.
-func (h *Hierarchy) Insert(e pte.Entry) {
-	for i := range h.levels {
-		h.levels[i].Level.Insert(e)
+// InsertWord implements WordInserter, the hierarchy's fill core: the
+// translation w gives vpn fills every level.
+func (h *Hierarchy) InsertWord(vpn addr.VPN, w pte.Word) {
+	for _, f := range h.fills {
+		f.InsertWord(vpn, w)
 	}
 }
+
+// Insert implements Level: a walked translation fills every level, an
+// adapter over InsertWord (tlb.TLB.Insert states its domain).
+func (h *Hierarchy) Insert(e pte.Entry) { h.InsertWord(e.VPN, e.Word()) }
 
 // InsertBlock loads a whole block: levels that support block fills take
 // it as one tagged fill, the rest take the individual pages.
@@ -254,4 +266,5 @@ var (
 	_ Level         = (*Hierarchy)(nil)
 	_ Invalidator   = (*Hierarchy)(nil)
 	_ BlockInserter = (*Hierarchy)(nil)
+	_ WordInserter  = (*Hierarchy)(nil)
 )

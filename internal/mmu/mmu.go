@@ -122,11 +122,25 @@ type WalkFilter interface {
 	Flush()
 }
 
-// BaseEntry synthesizes the single-page translation a lower level hands
-// up on a hit: only the tag matters to the model levels, and a
-// hierarchy refill is always a base-page fill (an L2 hit loads one 4KB
-// translation into the L1; only a full walk recovers superpage or
-// subblock coverage).
-func BaseEntry(vpn addr.VPN) pte.Entry {
-	return pte.Entry{VPN: vpn, PPN: addr.PPN(vpn), Size: addr.Size4K, Kind: pte.KindBase}
+// WordInserter is implemented by levels whose fill core takes the
+// packed mapping word rather than a decoded entry: InsertWord loads the
+// translation w gives page vpn. The TLB models (tlb.TLB, tlb.Partitioned,
+// swtlb's Level) and Hierarchy all implement it, and each one's
+// Level.Insert is an adapter over it, so a level has one fill
+// implementation whichever surface a caller uses. A Hierarchy fills its
+// levels through it, so every level a Hierarchy composes must implement
+// it.
+type WordInserter interface {
+	InsertWord(vpn addr.VPN, w pte.Word)
 }
+
+// BaseWord is the mapping word of a hierarchy refill (an L2 hit loads
+// one 4KB translation into the L1; only a full walk recovers superpage
+// or subblock coverage): a valid base-page word. The model levels read
+// only the tag a fill names, so the frame is not modeled and is zero,
+// which packs for any VPN.
+func BaseWord() pte.Word { return pte.MakeBase(0, 0) }
+
+// BaseEntry is BaseWord decoded for vpn: the single-page translation a
+// lower level hands up on a hit, for callers that fill with entries.
+func BaseEntry(vpn addr.VPN) pte.Entry { return pte.EntryFromWord(BaseWord(), vpn, 0) }

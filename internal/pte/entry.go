@@ -53,17 +53,13 @@ func (e Entry) String() string {
 func EntryFromWord(w Word, vpn addr.VPN, boff uint64) Entry {
 	// Each kind returns one composite literal, so the entry is written
 	// once rather than field by field over a partly built value.
-	ppn, attr, kind := w.PPN(), w.Attr(), w.Kind()
+	ppn, attr, kind := w.Frame(vpn, boff), w.Attr(), w.Kind()
 	switch kind {
 	case KindSuperpage:
-		// The faulting page's frame is the superpage's first frame plus
-		// the page offset within the superpage.
-		size := w.Size()
-		return Entry{VPN: vpn, PPN: ppn + addr.PPN(uint64(vpn)&(size.Pages()-1)), Attr: attr,
-			Size: size, Kind: kind, BlockPPN: ppn}
+		return Entry{VPN: vpn, PPN: ppn, Attr: attr, Size: w.Size(), Kind: kind, BlockPPN: w.PPN()}
 	case KindPartial:
-		return Entry{VPN: vpn, PPN: w.PPNAt(boff), Attr: attr, Size: addr.Size4K, Kind: kind,
-			ValidMask: w.ValidMask(), BlockPPN: ppn}
+		return Entry{VPN: vpn, PPN: ppn, Attr: attr, Size: addr.Size4K, Kind: kind,
+			ValidMask: w.ValidMask(), BlockPPN: w.PPN()}
 	default:
 		return Entry{VPN: vpn, PPN: ppn, Attr: attr, Size: addr.Size4K, Kind: kind}
 	}
@@ -83,4 +79,26 @@ func (e Entry) Word() Word {
 	default:
 		return MakeBase(e.PPN, e.Attr)
 	}
+}
+
+// MaxBlockWords is the largest page block a block of mapping words
+// covers: a partial-subblock word's 16 valid bits bound the subblock
+// factor (§4.3), and every block fill shares the bound.
+const MaxBlockWords = validBits
+
+// PackBlock packs the entries of block vpbn (1<<logSBF pages, at most
+// MaxBlockWords) into dst by block offset, the last entry for an offset
+// winning, and returns the block's words, dst[:1<<logSBF]. Entries
+// outside the block are skipped, and offsets no entry names stay
+// Invalid. It is how the entry-taking block fills adapt to the
+// word-taking ones.
+func PackBlock(dst *[MaxBlockWords]Word, vpbn addr.VPBN, logSBF uint, entries []Entry) []Word {
+	words := dst[:1<<logSBF]
+	clear(words)
+	for _, e := range entries {
+		if evpbn, boff := addr.BlockSplit(e.VPN, logSBF); evpbn == vpbn {
+			words[boff] = e.Word()
+		}
+	}
+	return words
 }

@@ -8,7 +8,8 @@ import (
 
 // FuzzPTERoundTrip checks the mapping-word codec both ways: every word a
 // constructor can build must decode back to exactly what went in, every
-// entry decoded from such a word must pack back into it (Entry.Word), and an
+// entry decoded from such a word must name the frame Word.Frame gives its
+// page and pack back into it (Entry.Word), for all three kinds, and an
 // arbitrary 64-bit pattern — a torn read, a stray write, a corrupted
 // page-table page — must decode without panicking. The second half is
 // what lets miss handlers read words without locks (§3.1): no bit
@@ -92,6 +93,7 @@ func FuzzPTERoundTrip(f *testing.F) {
 		_ = raw.ValidMask()
 		_ = raw.ValidAt(sel % 16)
 		_ = raw.PPNAt(sel % 16)
+		_ = raw.Frame(addr.VPN(sel), sel%16)
 		_ = raw.String()
 		if raw.Valid() {
 			_ = EntryFromWord(raw, addr.VPN(sel), sel%16)
@@ -99,10 +101,13 @@ func FuzzPTERoundTrip(f *testing.F) {
 	})
 }
 
-// packs checks that e, decoded from w, packs back into w and decodes
-// again to itself.
+// packs checks that e, decoded from w, names the frame w.Frame gives
+// its page, packs back into w and decodes again to itself.
 func packs(t *testing.T, w Word, e Entry, boff uint64) {
 	t.Helper()
+	if f := w.Frame(e.VPN, boff); e.PPN != f {
+		t.Fatalf("%v decodes frame %#x, Frame gives %#x", e, uint64(e.PPN), uint64(f))
+	}
 	if got := e.Word(); got != w {
 		t.Fatalf("%v packs to %v, want %v", e, got, w)
 	}

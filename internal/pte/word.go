@@ -177,6 +177,25 @@ func (w Word) ValidAt(boff uint64) bool {
 // plus the offset (§4.1).
 func (w Word) PPNAt(boff uint64) addr.PPN { return w.PPN() + addr.PPN(boff) }
 
+// Frame returns the frame w maps for page vpn, which lies at block
+// offset boff: the PPN field for a base word, the superpage's first
+// frame plus vpn's page offset within the superpage for a superpage
+// word, and PPNAt(boff) for a partial-subblock word. It is the one
+// "frame of this page" rule every consumer of a mapping word shares:
+// EntryFromWord and the TLB fills. boff is read only for partial words.
+func (w Word) Frame(vpn addr.VPN, boff uint64) addr.PPN {
+	switch w.Kind() {
+	case KindSuperpage:
+		// The SZ field counts doublings of the base page, so the
+		// superpage spans 1<<SZ pages (Size without the byte detour,
+		// which keeps Frame inlinable on the TLB fill path).
+		return w.PPN() + addr.PPN(uint64(vpn)&(1<<(w>>szShift&(1<<szBits-1))-1))
+	case KindPartial:
+		return w.PPNAt(boff)
+	}
+	return w.PPN()
+}
+
 // WithAttr replaces the attribute bits.
 func (w Word) WithAttr(a Attr) Word { return w&^Word(AttrMask) | Word(a&AttrMask) }
 

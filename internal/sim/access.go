@@ -8,7 +8,6 @@ import (
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/mmu/walkcache"
 	"clusterpt/internal/pagetable"
-	"clusterpt/internal/pte"
 	"clusterpt/internal/swtlb"
 	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
@@ -158,8 +157,8 @@ func RunFigure11(f Figure, p trace.Profile, cfg AccessConfig) (AccessRow, error)
 // row for that pipeline alone.
 //
 // Sharing the L1 is exact only while its refill does not depend on the
-// pipeline: an L2 hit refills the L1 with mmu.BaseEntry, a walk with the
-// canonical entry, and the two carry the same tag only under a
+// pipeline: an L2 hit refills the L1 with mmu.BaseWord, a walk with the
+// canonical word, and the two carry the same tag only under a
 // single-page-size TLB over base PTEs (Fig11a). Any other figure with
 // more than one pipeline is an error.
 func RunFigure11Pipelines(f Figure, p trace.Profile, cfg AccessConfig, mmus []MMUConfig) ([]AccessRow, error) {
@@ -479,11 +478,4 @@ func replayProcess(st *figureState, costs *walkTable, snap trace.ProcessSnapshot
 		lin.lines[t].add(&walk.lines[t])
 	}
 	return procResult{misses: misses, accesses: uint64(refs), lines: lin.lines, nested: lin.nested}, nil
-}
-
-// pteForLeaf fabricates a TLB entry for a page-table page: only the tag
-// matters to the reserved-entry simulation.
-func pteForLeaf(vpn addr.VPN) pte.Entry {
-	leaf := addr.VPN(linear.LeafPageIndex(vpn))
-	return pte.Entry{VPN: leaf, PPN: addr.PPN(leaf), Size: addr.Size4K, Kind: pte.KindBase}
 }

@@ -303,7 +303,7 @@ func RunChurn(p trace.Profile, cp trace.ChurnProfile, v TableVariant, cfg ChurnC
 	if cfg.Entries == 0 {
 		cfg.Entries = 64
 	}
-	snap := p.Snapshot()[0]
+	snap := p.ProcSnapshot(0)
 	stream := trace.NewChurnStream(snap, cfg.Seed, cp)
 	m, err := newChurnMachine(v, stream.Layout())
 	if err != nil {

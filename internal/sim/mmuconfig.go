@@ -3,14 +3,12 @@ package sim
 import (
 	"fmt"
 
-	"clusterpt/internal/addr"
 	"clusterpt/internal/forward"
 	"clusterpt/internal/linear"
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/mmu"
 	"clusterpt/internal/mmu/walkcache"
 	"clusterpt/internal/pagetable"
-	"clusterpt/internal/pte"
 	"clusterpt/internal/swtlb"
 )
 
@@ -114,10 +112,6 @@ func (m MMUConfig) newL2(model memcost.Model) *swtlb.Cache {
 	}
 	return swtlb.MustNewLevel(swtlb.Config{Entries: g[0], Ways: g[1], CostModel: model})
 }
-
-// baseRefill is the single-page translation an L2 hit hands up to the
-// L1 (mmu.BaseEntry, aliased locally for the hot loops).
-func baseRefill(vpn addr.VPN) pte.Entry { return mmu.BaseEntry(vpn) }
 
 // BuildHierarchy wraps l1 in the configured translation pipeline: the
 // L2 level when configured (probe = one line, hit or miss), and the

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/pte"
+	"clusterpt/internal/mmu"
 	"clusterpt/internal/tlb"
 	"clusterpt/internal/trace"
 )
@@ -67,8 +67,10 @@ func RunMultiprogram(p trace.Profile, quantum, refs int, seed uint64) (Multiprog
 		t := tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: 64})
 		gen := trace.NewGenerator(snap, seed*31+1)
 		if err := replay(gen, buf, budgets[i], func(va addr.V) error {
+			// Interference modeling reads only the TLB's tags, so every
+			// miss fills the tag-only base word.
 			if !t.Access(va).Hit {
-				t.Insert(entryForVA(va))
+				t.InsertWord(addr.VPNOf(va), mmu.BaseWord())
 			}
 			return nil
 		}); err != nil {
@@ -121,7 +123,7 @@ func RunMultiprogram(p trace.Profile, quantum, refs int, seed uint64) (Multiprog
 					va |= fold
 					if !t.Access(va).Hit {
 						misses++
-						t.Insert(entryForVA(va))
+						t.InsertWord(addr.VPNOf(va), mmu.BaseWord())
 					}
 					return nil
 				}); err != nil {
@@ -132,12 +134,4 @@ func RunMultiprogram(p trace.Profile, quantum, refs int, seed uint64) (Multiprog
 		*mode.dst = misses
 	}
 	return row, nil
-}
-
-// entryForVA fabricates a base translation for interference modeling:
-// only the TLB's coverage identity matters, so a synthetic frame
-// suffices.
-func entryForVA(va addr.V) pte.Entry {
-	vpn := addr.VPNOf(va)
-	return pte.Entry{VPN: vpn, PPN: addr.PPN(uint64(vpn) & 0x0fffffff), Size: addr.Size4K, Kind: pte.KindBase}
 }

@@ -105,7 +105,7 @@ func RunReplicationPoint(p trace.Profile, v TableVariant, factor, writePct int, 
 	if writePct < 0 || writePct > 100 {
 		return ReplicationPoint{}, fmt.Errorf("sim: write rate %d%% out of range", writePct)
 	}
-	snap := p.Snapshot()[0]
+	snap := p.ProcSnapshot(0)
 	m := memcost.NewModel(256)
 	r, err := service.New(service.Config{Stripes: 32, CacheSlots: 256, Replicas: factor},
 		func(int) (pagetable.PageTable, error) { return v.New(m), nil })

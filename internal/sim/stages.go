@@ -38,8 +38,10 @@ package sim
 import (
 	"clusterpt/internal/addr"
 	"clusterpt/internal/linear"
+	"clusterpt/internal/mmu"
 	"clusterpt/internal/mmu/walkcache"
 	"clusterpt/internal/pte"
+	"clusterpt/internal/swtlb"
 	"clusterpt/internal/tlb"
 )
 
@@ -65,20 +67,21 @@ func missL2Hit(t int) addr.V { return 1 << (1 + 2*t) }
 func missPWCHit(t int) addr.V { return 1 << (2 + 2*t) }
 
 // refStage services the reference TLB's misses. It refills from the
-// canonical build's refill words (walkTable.canon), decoding one word
-// per page; walkLane charges the walks. Block refills decode into buf,
-// reused from miss to miss.
+// canonical build's refill words (walkTable.canon): the TLBs take the
+// packed words, one per page refill and a Fig11d block's sixteen in
+// place, so no refill decodes an entry. Only a block that crosses a
+// region edge is gathered, into gather; walkLane charges the walks.
 type refStage struct {
-	st    *figureState
-	canon *refills
-	buf   []pte.Entry
+	st     *figureState
+	canon  *refills
+	gather blockWords
 }
 
 // service handles one reference-TLB miss and returns its miss record.
 // Every pipeline's L2 is probed first; an L2 hit refills the L1 with the
 // base page and skips that pipeline's walk. If any pipeline walks, the
 // L1 is refilled from the canonical build, and each walking
-// pipeline fills its L2 with the same entries and probes its page-walk
+// pipeline fills its L2 with the same words and probes its page-walk
 // cache. With one pipeline that is exactly its serial miss path; with
 // several, checkPipelines guarantees both refills carry the same tag.
 func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
@@ -100,28 +103,27 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 		}
 	}
 	if !walks {
-		st.refTLB.Insert(baseRefill(vpn))
+		st.refTLB.InsertWord(vpn, mmu.BaseWord())
 		return rec, nil
 	}
 
-	var e pte.Entry
-	var entries []pte.Entry
+	var w pte.Word
+	var words []pte.Word
 	var err error
+	vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
 	block := st.fig == Fig11d && !res.SubblockMiss
 	if block {
 		// Block miss with prefetch: refill the whole block (§4.4).
-		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
-		if r.buf, _, err = r.canon.appendBlock(r.buf[:0], vpn); err != nil {
+		if words, _, err = r.canon.block(vpn, &r.gather); err != nil {
 			return 0, err
 		}
-		entries = r.buf
-		st.refTLB.InsertBlock(vpbn, entries)
+		st.refTLB.InsertBlockWords(vpbn, words)
 		rec |= missBlockBit
 	} else {
-		if e, _, err = r.canon.page(vpn); err != nil {
+		if w, _, err = r.canon.page(vpn); err != nil {
 			return 0, err
 		}
-		st.refTLB.Insert(e)
+		st.refTLB.InsertWord(vpn, w)
 	}
 	for t, tl := range st.tails {
 		if rec&missL2Hit(t) != 0 {
@@ -129,11 +131,9 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 		}
 		if tl.l2 != nil && tl.l2Of == t {
 			if block {
-				for _, be := range entries {
-					tl.l2.Insert(be)
-				}
+				fillBlock(tl.l2, vpbn, words)
 			} else {
-				tl.l2.Insert(e)
+				tl.l2.InsertWord(vpn, w)
 			}
 		}
 		if tl.pwc != nil && tl.pwc.Probe(vpn) {
@@ -141,6 +141,16 @@ func (r *refStage) service(va addr.V, res tlb.Result) (addr.V, error) {
 		}
 	}
 	return rec, nil
+}
+
+// fillBlock fills a single-page L2 with every mapped page of a Fig11d
+// block, in ascending page order.
+func fillBlock(l2 *swtlb.Cache, vpbn addr.VPBN, words []pte.Word) {
+	for i, w := range words {
+		if w != pte.Invalid {
+			l2.InsertWord(addr.BlockJoin(vpbn, uint64(i), fig11dBlockLog), w)
+		}
+	}
 }
 
 // addCostElided merges one walk with the upper levels of the walk-cached
@@ -219,10 +229,10 @@ func (w *walkLane) charge(rec addr.V) error {
 }
 
 // linLane runs every linear variant's TLB state machines over the
-// reference stream. Like refStage it refills from refill words, one
-// store per linear build (walkTable.lins), which also hold the leaf walk
-// lines it charges; block refills decode into buf, reused from miss to
-// miss.
+// reference stream. Like refStage it refills the TLBs with packed words,
+// one store per linear build (walkTable.lins), which also hold the leaf
+// walk lines it charges; only a Fig11d block that crosses a region edge
+// is gathered, into gather.
 type linLane struct {
 	fig     Figure
 	lins    []*linState
@@ -230,7 +240,7 @@ type linLane struct {
 	tails   []*tailState
 	lines   []lineCounts // per pipeline
 	nested  []uint64     // per pipeline
-	buf     []pte.Entry
+	gather  blockWords
 }
 
 func newLinLane(st *figureState, costs *walkTable) *linLane {
@@ -286,34 +296,34 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 	if !walks {
 		// An L2 hit hands the base translation straight up: no PTE
 		// array read, no nested page-table-page translation.
-		ls.main.Insert(baseRefill(vpn))
+		ls.main.InsertWord(vpn, mmu.BaseWord())
 		return nil
 	}
 
-	var e pte.Entry
-	var entries []pte.Entry
+	var w pte.Word
+	var words []pte.Word
 	var lines uint32
 	var err error
+	vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
 	block := l.fig == Fig11d && !res.SubblockMiss
 	if block {
 		// Block miss with prefetch: the block's PTEs are adjacent in the
 		// PTE array.
-		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
-		if l.buf, lines, err = l.refills[li].appendBlock(l.buf[:0], vpn); err != nil {
+		if words, lines, err = l.refills[li].block(vpn, &l.gather); err != nil {
 			return err
 		}
-		entries = l.buf
-		ls.main.InsertBlock(vpbn, entries)
+		ls.main.InsertBlockWords(vpbn, words)
 	} else {
-		if e, lines, err = l.refills[li].page(vpn); err != nil {
+		if w, lines, err = l.refills[li].page(vpn); err != nil {
 			return err
 		}
-		ls.main.Insert(e)
+		ls.main.InsertWord(vpn, w)
 	}
 
 	// The leaf PTE lives in virtual memory: translating its page can
 	// nest-miss in the reserved entries.
-	leafVA := addr.VAOf(addr.VPN(linear.LeafPageIndex(vpn)))
+	leaf := addr.VPN(linear.LeafPageIndex(vpn))
+	leafVA := addr.VAOf(leaf)
 	var nested uint64 // bit t: pipeline t's reserved TLB missed
 	for t, tl := range l.tails {
 		if hits&(1<<t) != 0 {
@@ -327,15 +337,14 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 		} else {
 			if lt.l2 != nil {
 				if block {
-					for _, be := range entries {
-						lt.l2.Insert(be)
-					}
+					fillBlock(lt.l2, vpbn, words)
 				} else {
-					lt.l2.Insert(e)
+					lt.l2.InsertWord(vpn, w)
 				}
 			}
 			if missed = !lt.pt.Access(leafVA).Hit; missed {
-				lt.pt.Insert(pteForLeaf(vpn))
+				// Only the tag matters to the reserved-entry simulation.
+				lt.pt.InsertWord(leaf, mmu.BaseWord())
 			}
 		}
 		if missed {

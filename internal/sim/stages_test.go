@@ -299,3 +299,57 @@ func TestFigure11PipelinesMixedGeometries(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMissPathNoAllocs pins the kernel's miss path at zero
+// allocations: every reference of a warmed pthor replay goes through
+// the reference TLB, and every miss through refStage (word and Fig11d
+// block refills, read in place or gathered at pthor's unaligned region
+// edges), walkLane and linLane, flat and under an L2 with page-walk
+// caches. Fig11c refills partial-subblock words; Fig11d prefetches
+// blocks.
+func TestReplayMissPathNoAllocs(t *testing.T) {
+	snap := profile(t, "pthor").ProcSnapshot(0)
+	for _, f := range []Figure{Fig11c, Fig11d} {
+		for _, m := range []MMUConfig{{}, {L2Entries: 512, PWC: true}} {
+			label := fmt.Sprintf("%v/%v", f, m)
+			cfg := AccessConfig{}
+			cfg.fill()
+			st, err := newFigureState(figureKernel(f), snap, cfg, []MMUConfig{m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs, err := newWalkTable(st, snap)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			ref := &refStage{st: st, canon: &costs.canon}
+			walk := newWalkLane(st, costs)
+			lin := newLinLane(st, costs)
+			vas := trace.NewGenerator(snap, 1).Fill(nil, 4096)
+			run := func() {
+				for _, va := range vas {
+					if res := st.refTLB.Access(va); !res.Hit {
+						rec, err := ref.service(va, res)
+						if err == nil {
+							err = walk.charge(rec)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+					}
+					if err := lin.step(va); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+				}
+			}
+			run() // warm: every TLB full, every buffer sized
+			misses := st.refTLB.Stats().Misses
+			if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+				t.Errorf("%s: replaying %d references allocated %.1f times per pass, want 0", label, len(vas), allocs)
+			}
+			if st.refTLB.Stats().Misses == misses {
+				t.Fatalf("%s: the measured passes missed nothing", label)
+			}
+		}
+	}
+}

@@ -9,8 +9,9 @@ package sim
 // resulting dense, read-only table. The same walks pack the refill
 // entries of the tables that refill a TLB (the kernel's refill variant,
 // the canonical build, and each linear build) into their 8-byte mapping
-// words, so refStage and linLane refill by decoding a word instead of
-// walking per miss.
+// words, so refStage and linLane hand the TLBs those words — one per
+// page refill, a Fig11d block's sixteen in place — instead of walking
+// per miss.
 
 import (
 	"fmt"
@@ -97,14 +98,25 @@ type refills struct {
 }
 
 // fig11dBlockLog is log2 of the Fig11d subblock factor (16): the block
-// every Fig11d prefetch gathers. Every Figure 11 table uses the same
-// factor, so it also picks a partial-subblock word's block offset
-// (refillEntry).
+// every Fig11d prefetch gathers. Every Figure 11 table and TLB uses the
+// same factor, so it is also the geometry a partial-subblock word's
+// block offset is read in.
 const fig11dBlockLog = 4
 
-// refillEntry decodes a stored word into vpn's refill entry.
-func refillEntry(w pte.Word, vpn addr.VPN) pte.Entry {
-	return pte.EntryFromWord(w, vpn, uint64(vpn)&(1<<fig11dBlockLog-1))
+// blockWords is one Fig11d block's mapping words, indexed by block
+// offset: the gather buffer for a block that crosses a region edge.
+type blockWords [1 << fig11dBlockLog]pte.Word
+
+// decodeBlock appends the entries block words decode to, first being
+// the block's first page, in ascending page order as AppendBlock
+// gathers them: the check that a refill store reproduces its table.
+func decodeBlock(dst []pte.Entry, first addr.VPN, words []pte.Word) []pte.Entry {
+	for i, w := range words {
+		if w != pte.Invalid {
+			dst = append(dst, pte.EntryFromWord(w, first+addr.VPN(i), uint64(i)))
+		}
+	}
+	return dst
 }
 
 // newWalkTable walks the snapshot's mapped pages in every variant of
@@ -114,7 +126,7 @@ func refillEntry(w pte.Word, vpn addr.VPN) pte.Entry {
 // AppendBlock. A variant that loses a mapped page, or cannot gather its
 // block, fails the build, and so does a refill store that does not
 // reproduce its table: every stored word must decode back to the page's
-// Lookup entry, and every Fig11d block the words rebuild must equal
+// Lookup entry, and every Fig11d block's words must decode to
 // AppendBlock's gather, entry for entry and in order.
 func newWalkTable(st *figureState, snap trace.ProcessSnapshot) (*walkTable, error) {
 	t := &walkTable{regions: make([]costRegion, len(snap.Regions))}
@@ -207,7 +219,9 @@ func (t *walkTable) walk(name string, table pagetable.PageTable, snap trace.Proc
 				continue
 			}
 			s.words[slot] = e.Word()
-			if got, _, err := s.page(vpn); err != nil || got != e {
+			w, _, err := s.page(vpn)
+			_, boff := addr.BlockSplit(vpn, fig11dBlockLog)
+			if got := pte.EntryFromWord(w, vpn, boff); err != nil || got != e {
 				return fmt.Errorf("variant %q: vpn %#x: word %v refills %v (%v), not its Lookup entry %v",
 					name, uint64(vpn), s.words[slot], got, err, e)
 			}
@@ -221,6 +235,7 @@ func (t *walkTable) walk(name string, table pagetable.PageTable, snap trace.Proc
 		return fmt.Errorf("variant %q cannot prefetch blocks", name)
 	}
 	var gathered, rebuilt []pte.Entry
+	var gather blockWords
 	for ri, pr := range snap.Regions {
 		r := &t.regions[ri]
 		have := false
@@ -242,8 +257,9 @@ func (t *walkTable) walk(name string, table pagetable.PageTable, snap trace.Proc
 			if s == nil {
 				continue
 			}
-			var err error
-			if rebuilt, _, err = s.appendBlock(rebuilt[:0], vpn); err != nil || !slices.Equal(rebuilt, gathered) {
+			words, _, err := s.block(vpn, &gather)
+			rebuilt = decodeBlock(rebuilt[:0], addr.BlockJoin(vpbn, 0, fig11dBlockLog), words)
+			if err != nil || !slices.Equal(rebuilt, gathered) {
 				return fmt.Errorf("variant %q: block %#x: words rebuild %v (%v), AppendBlock gathered %v",
 					name, uint64(vpbn), rebuilt, err, gathered)
 			}
@@ -285,9 +301,9 @@ func (t *walkTable) cost(rec addr.V) (*walkCost, error) {
 	return nil, fmt.Errorf("variant %q lost vpn %#x", t.first, uint64(vpn))
 }
 
-// page returns vpn's refill entry and, for a linear store, its walk's
+// page returns vpn's refill word and, for a linear store, its walk's
 // lines. A page the table does not map is an error, as its Lookup was.
-func (s *refills) page(vpn addr.VPN) (pte.Entry, uint32, error) {
+func (s *refills) page(vpn addr.VPN) (pte.Word, uint32, error) {
 	if r := region(s.regions, vpn); r != nil {
 		slot := r.slot + int(vpn-r.vpn)
 		if w := s.words[slot]; w != pte.Invalid {
@@ -295,47 +311,48 @@ func (s *refills) page(vpn addr.VPN) (pte.Entry, uint32, error) {
 			if s.lines != nil {
 				lines = s.lines[slot]
 			}
-			return refillEntry(w, vpn), lines, nil
+			return w, lines, nil
 		}
 	}
-	return pte.Entry{}, 0, fmt.Errorf("%s lost vpn %#x", s.lost, uint64(vpn))
+	return pte.Invalid, 0, fmt.Errorf("%s lost vpn %#x", s.lost, uint64(vpn))
 }
 
-// appendBlock appends the refill entries of every mapped page in the
-// Fig11d block holding vpn, in ascending page order as AppendBlock
-// gathers them, and returns, for a linear store, the gather's lines. The
-// block is resolved against vpn's region once; only a block crossing
-// that region's edge resolves page by page. A block with no mapped page
-// is an error, as its gather was.
-func (s *refills) appendBlock(dst []pte.Entry, vpn addr.VPN) ([]pte.Entry, uint32, error) {
+// block returns the mapping words of the Fig11d block holding vpn,
+// indexed by block offset with pte.Invalid for an unmapped page, and,
+// for a linear store, the gather's lines. A block inside vpn's region is
+// the store's own sixteen words, returned in place for the TLB to read;
+// only a block crossing that region's edge is gathered, page by page,
+// into gather. A block with no mapped page is an error, as its gather
+// was.
+func (s *refills) block(vpn addr.VPN, gather *blockWords) ([]pte.Word, uint32, error) {
 	const sbf = 1 << fig11dBlockLog
 	vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
-	first := addr.BlockJoin(vpbn, 0, fig11dBlockLog)
-	n := len(dst)
-	var lines uint32
 	if r := region(s.regions, vpn); r != nil {
-		if s.blockLines != nil {
-			lines = s.blockLines[r.bslot+int(vpbn-r.vpbn)]
-		}
+		first := addr.BlockJoin(vpbn, 0, fig11dBlockLog)
+		var words []pte.Word
 		if off := uint64(first - r.vpn); first >= r.vpn && off+sbf <= r.pages {
-			for i, w := range s.words[r.slot+int(off):][:sbf] {
-				if w != pte.Invalid {
-					dst = append(dst, refillEntry(w, first+addr.VPN(i)))
-				}
-			}
+			words = s.words[r.slot+int(off):][:sbf]
 		} else {
-			for i := addr.VPN(0); i < sbf; i++ {
-				p := first + i
+			for i := range gather {
+				p := first + addr.VPN(i)
+				gather[i] = pte.Invalid
 				if pr := region(s.regions, p); pr != nil {
-					if w := s.words[pr.slot+int(p-pr.vpn)]; w != pte.Invalid {
-						dst = append(dst, refillEntry(w, p))
-					}
+					gather[i] = s.words[pr.slot+int(p-pr.vpn)]
 				}
 			}
+			words = gather[:]
+		}
+		var mapped pte.Word
+		for _, w := range words {
+			mapped |= w
+		}
+		if mapped != pte.Invalid {
+			var lines uint32
+			if s.blockLines != nil {
+				lines = s.blockLines[r.bslot+int(vpbn-r.vpbn)]
+			}
+			return words, lines, nil
 		}
 	}
-	if len(dst) == n {
-		return dst, 0, fmt.Errorf("%s lost block %#x", s.lost, uint64(vpbn))
-	}
-	return dst, lines, nil
+	return nil, 0, fmt.Errorf("%s lost block %#x", s.lost, uint64(vpbn))
 }

@@ -345,11 +345,14 @@ func TestWalkCostTableLostPage(t *testing.T) {
 
 // TestRefillWordsMatchLookups pins both refill stores, the canonical
 // build's and the linear build's, against their tables for every figure
-// over gcc, pthor and kernel: every mapped page refills its Lookup entry
-// (and, for linear, charges its Lookup's lines), and every Fig11d block
-// rebuilds AppendBlock's gather entry for entry and in order. A hole
-// page and VPN 0 are not found.
+// over gcc, pthor and kernel: every mapped page's word decodes to its
+// Lookup entry (and, for linear, charges its Lookup's lines), and every
+// Fig11d block's words decode to AppendBlock's gather entry for entry
+// and in order. At least one checked Fig11d block crosses a region edge
+// (the Unaligned regions place some), so the gathered path is pinned
+// beside the in-place one. A hole page and VPN 0 are not found.
 func TestRefillWordsMatchLookups(t *testing.T) {
+	crossing := 0
 	for _, name := range []string{"gcc", "pthor", "kernel"} {
 		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
 			for _, snap := range profile(t, name).Snapshot() {
@@ -376,28 +379,36 @@ func TestRefillWordsMatchLookups(t *testing.T) {
 					}
 				}
 				for i, s := range stores {
-					checkRefills(t, label+"/"+s.lost, f, snap, costs, s, tables[i])
+					crossing += checkRefills(t, label+"/"+s.lost, f, snap, costs, s, tables[i])
 				}
 			}
 		}
 	}
+	if crossing == 0 {
+		t.Error("no checked Fig11d block crosses a region edge")
+	}
 }
 
-// checkRefills compares one refill store with its table.
-func checkRefills(t *testing.T, label string, f Figure, snap trace.ProcessSnapshot, costs *walkTable, s *refills, table pagetable.PageTable) {
+// checkRefills compares one refill store with its table and returns how
+// many checked blocks crossed a region edge (were gathered rather than
+// read in place).
+func checkRefills(t *testing.T, label string, f Figure, snap trace.ProcessSnapshot, costs *walkTable, s *refills, table pagetable.PageTable) int {
 	t.Helper()
 	linear := s.lines != nil
 	mapped := make(map[addr.VPN]bool)
 	var gathered, rebuilt []pte.Entry
+	var gather blockWords
+	crossing := 0
 	for _, vpn := range snap.AllPages() {
 		mapped[vpn] = true
 		want, cost, ok := table.Lookup(addr.VAOf(vpn))
 		if !ok {
 			t.Fatalf("%s: table lost vpn %#x", label, uint64(vpn))
 		}
-		got, lines, err := s.page(vpn)
-		if err != nil || got != want {
-			t.Fatalf("%s: vpn %#x refills %v (%v), Lookup %v", label, uint64(vpn), got, err, want)
+		w, lines, err := s.page(vpn)
+		vpbn, boff := addr.BlockSplit(vpn, fig11dBlockLog)
+		if got := pte.EntryFromWord(w, vpn, boff); err != nil || got != want {
+			t.Fatalf("%s: vpn %#x: word %v decodes %v (%v), Lookup %v", label, uint64(vpn), w, got, err, want)
 		}
 		if linear && lines != uint32(cost.Lines) {
 			t.Fatalf("%s: vpn %#x charges %d lines, Lookup %d", label, uint64(vpn), lines, cost.Lines)
@@ -405,14 +416,20 @@ func checkRefills(t *testing.T, label string, f Figure, snap trace.ProcessSnapsh
 		if f != Fig11d {
 			continue
 		}
-		vpbn, _ := addr.BlockSplit(vpn, fig11dBlockLog)
 		gathered, cost, ok = table.(pagetable.BlockReader).AppendBlock(gathered[:0], vpbn, fig11dBlockLog)
 		if !ok {
 			t.Fatalf("%s: table lost block %#x", label, uint64(vpbn))
 		}
-		rebuilt, lines, err = s.appendBlock(rebuilt[:0], vpn)
-		if err != nil || !slices.Equal(rebuilt, gathered) {
-			t.Fatalf("%s: block %#x rebuilds %v (%v), AppendBlock %v", label, uint64(vpbn), rebuilt, err, gathered)
+		words, lines, err := s.block(vpn, &gather)
+		if err != nil || len(words) != len(gather) {
+			t.Fatalf("%s: block %#x: %d words (%v), want %d", label, uint64(vpbn), len(words), err, len(gather))
+		}
+		if &words[0] == &gather[0] {
+			crossing++
+		}
+		rebuilt = decodeBlock(rebuilt[:0], addr.BlockJoin(vpbn, 0, fig11dBlockLog), words)
+		if !slices.Equal(rebuilt, gathered) {
+			t.Fatalf("%s: block %#x rebuilds %v, AppendBlock %v", label, uint64(vpbn), rebuilt, gathered)
 		}
 		if linear && lines != uint32(cost.Lines) {
 			t.Fatalf("%s: block %#x charges %d lines, AppendBlock %d", label, uint64(vpbn), lines, cost.Lines)
@@ -436,6 +453,7 @@ func checkRefills(t *testing.T, label string, f Figure, snap trace.ProcessSnapsh
 	}
 	_, _, err := s.page(0)
 	notFound(err, "lost vpn")
-	_, _, err = s.appendBlock(nil, 0)
+	_, _, err = s.block(0, &gather)
 	notFound(err, "lost block")
+	return crossing
 }

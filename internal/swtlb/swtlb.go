@@ -263,7 +263,7 @@ func (c *Cache) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	if !ok {
 		return pte.Entry{}, probeCost, false
 	}
-	c.fill(addr.VPNOf(va), e)
+	c.Insert(e)
 	return e, probeCost, true
 }
 
@@ -275,18 +275,29 @@ func (c *Cache) Access(va addr.V) mmu.Result {
 	return mmu.Result{Hit: c.lookup(addr.VPNOf(va)) >= 0}
 }
 
-// Insert implements mmu.Level, filling the slot for a translation the
-// caller's walk produced.
-func (c *Cache) Insert(e pte.Entry) {
-	c.fill(e.VPN, e)
+// InsertWord is the fill core, the word fill of mmu.WordInserter: it
+// caches the translation mapping word w gives vpn. A software TLB caches
+// translations, not page-table structure, so whatever w's kind the slot
+// holds vpn's own base word: w.Frame(vpn, boff), with boff vpn's block
+// offset in the cache's LogSBF geometry, and w's attributes.
+func (c *Cache) InsertWord(vpn addr.VPN, w pte.Word) {
+	_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
+	c.fill(vpn, pte.MakeBase(w.Frame(vpn, boff), w.Attr()))
 }
+
+// Insert implements mmu.Level, filling the slot for a translation the
+// caller's walk produced: an adapter over the word fill. The entry packs
+// as the base word of its own frame, which the fill caches unchanged, so
+// the adapter is exact on every entry whatever block geometry resolved
+// it.
+func (c *Cache) Insert(e pte.Entry) { c.fill(e.VPN, pte.MakeBase(e.PPN, e.Attr)) }
 
 // Flush implements mmu.Level (the shootdown alias of InvalidateAll).
 func (c *Cache) Flush() { c.InvalidateAll() }
 
-// fill installs a translation after a miss. The victim is the set's
+// fill installs vpn's base word after a miss. The victim is the set's
 // first invalid slot, else its least recently used one.
-func (c *Cache) fill(vpn addr.VPN, e pte.Entry) {
+func (c *Cache) fill(vpn addr.VPN, word pte.Word) {
 	key := c.key(vpn)
 	first := c.setStart(key)
 	set := c.slots[first : first+c.cfg.Ways]
@@ -305,31 +316,25 @@ func (c *Cache) fill(vpn addr.VPN, e pte.Entry) {
 	ent.tag = key
 	ent.lru = c.tick
 	if !c.cfg.Clustered {
-		ent.word = wordFromEntry(e)
+		ent.word = word
 		return
 	}
 	vpbn, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
 	words := c.blockOf(first + victim)
 	clear(words)
-	words[boff] = wordFromEntry(e)
+	words[boff] = word
 	// Gather the rest of the block when the backing table can do it
-	// cheaply (clustered/linear adjacency).
+	// cheaply (clustered/linear adjacency), each page as the base word
+	// of its own frame.
 	if br, okBR := c.backing.(pagetable.BlockReader); okBR {
 		var okB bool
 		if c.block, _, okB = br.AppendBlock(c.block[:0], vpbn, c.cfg.LogSBF); okB {
 			for _, be := range c.block {
 				_, bo := addr.BlockSplit(be.VPN, c.cfg.LogSBF)
-				words[bo] = wordFromEntry(be)
+				words[bo] = pte.MakeBase(be.PPN, be.Attr)
 			}
 		}
 	}
-}
-
-// wordFromEntry reconstructs a base mapping word for caching. Superpage
-// and psb entries are cached as base words for the specific page — a
-// software TLB caches translations, not page-table structure.
-func wordFromEntry(e pte.Entry) pte.Word {
-	return pte.MakeBase(e.PPN, e.Attr)
 }
 
 // Invalidate drops any cached translation for vpn.
@@ -429,4 +434,5 @@ var (
 	_ pagetable.PageTable = (*Cache)(nil)
 	_ mmu.Level           = Level{}
 	_ mmu.Invalidator     = Level{}
+	_ mmu.WordInserter    = Level{}
 )

@@ -68,34 +68,87 @@ func BenchmarkAccess(b *testing.B) {
 
 // TestCompleteSubblockRefillNoAllocs pins a full complete-subblock
 // TLB's refills at zero allocations: every block miss replaces a victim,
-// whether by prefetch (InsertBlock) or by one page (Insert), and the new
-// entry takes over the victim's frame array instead of allocating one.
+// whether by prefetch (InsertBlockWords, or the InsertBlock adapter) or
+// by one page (InsertWord, or the Insert adapter), and the new entry
+// takes over the victim's frame array instead of allocating one.
 func TestCompleteSubblockRefillNoAllocs(t *testing.T) {
 	const entries = 64
 	tl := MustNew(Config{Kind: CompleteSubblock, Entries: entries})
 	blocks := make([][]pte.Entry, 4*entries)
+	words := make([][16]pte.Word, len(blocks))
 	for b := range blocks {
 		for boff := addr.VPN(0); boff < 16; boff += 2 {
 			vpn := addr.VPN(b)*16 + boff
 			blocks[b] = append(blocks[b], base(vpn, addr.PPN(vpn)+1))
+			words[b][boff] = pte.MakeBase(addr.PPN(vpn)+1, 0)
 		}
 	}
 	for b := 0; b < entries; b++ {
-		tl.InsertBlock(addr.VPBN(b), blocks[b])
+		tl.InsertBlockWords(addr.VPBN(b), words[b][:])
 	}
 	b := entries
 	next := func() int { b = (b + 1) % len(blocks); return b }
-	if allocs := testing.AllocsPerRun(100, func() {
-		n := next()
-		tl.InsertBlock(addr.VPBN(n), blocks[n])
-	}); allocs != 0 {
-		t.Errorf("InsertBlock into a full TLB allocated %.1f times per refill, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		fill func()
+	}{
+		{"InsertBlockWords", func() { n := next(); tl.InsertBlockWords(addr.VPBN(n), words[n][:]) }},
+		{"InsertBlock", func() { n := next(); tl.InsertBlock(addr.VPBN(n), blocks[n]) }},
+		{"InsertWord", func() { n := next(); tl.InsertWord(blocks[n][1].VPN, words[n][2]) }},
+		{"Insert", func() { tl.Insert(blocks[next()][1]) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fill); allocs != 0 {
+			t.Errorf("%s into a full TLB allocated %.1f times per refill, want 0", c.name, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		tl.Insert(blocks[next()][1])
-	}); allocs != 0 {
-		t.Errorf("Insert into a full TLB allocated %.1f times per refill, want 0", allocs)
+}
+
+// BenchmarkRefill measures the fill core alone on a full TLB, where
+// every fill evicts a victim: InsertWord per kind with the word each
+// kind stores (a base page, a 64KB superpage, a partial-subblock block,
+// a complete-subblock page), and InsertBlockWords, the complete-subblock
+// prefetch of a half-mapped 16-page block.
+func BenchmarkRefill(b *testing.B) {
+	const entries, universe = 64, 256
+	for _, kind := range diffKinds {
+		b.Run(fmt.Sprintf("InsertWord/%v", kind), func(b *testing.B) {
+			t := MustNew(Config{Kind: kind, Entries: entries})
+			word := func(vpn addr.VPN) pte.Word {
+				switch kind {
+				case Superpage:
+					return pte.MakeSuperpage(addr.PPN(vpn)+1<<20, 0, addr.Size64K)
+				case PartialSubblock:
+					return pte.MakePartial(addr.PPN(vpn)+1<<20, 0, 0x00ff, 4)
+				}
+				return pte.MakeBase(addr.PPN(vpn)+1<<20, 0)
+			}
+			words := make([]pte.Word, universe)
+			for i := range words {
+				words[i] = word(addr.VPN(i << 4))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % universe
+				t.InsertWord(addr.VPN(j<<4), words[j])
+			}
+		})
 	}
+	b.Run("InsertBlockWords/complete-subblock", func(b *testing.B) {
+		t := MustNew(Config{Kind: CompleteSubblock, Entries: entries})
+		blocks := make([][16]pte.Word, universe)
+		for i := range blocks {
+			for boff := 0; boff < 16; boff += 2 {
+				blocks[i][boff] = pte.MakeBase(addr.PPN(i<<4+boff)+1<<20, 0)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % universe
+			t.InsertBlockWords(addr.VPBN(j), blocks[j][:])
+		}
+	})
 }
 
 // TestMissPathNoAllocs pins the miss path of every kind at zero

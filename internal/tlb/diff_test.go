@@ -8,6 +8,13 @@ package tlb
 // equality is the victim-choice check: if the two ever picked different
 // victims their slot contents would diverge on the next insert.
 //
+// Every fill is a mapping word built by the pte constructors, with
+// aligned frames in the stream's block geometry. The production TLB
+// takes it through its word core (InsertWord, InsertBlockWords) or, on
+// alternate ops, through the entry adapters (Insert, InsertBlock); the
+// reference model keeps entry semantics and takes the word decoded by
+// pte.EntryFromWord.
+//
 // The same op semantics back FuzzTLBIndex (fuzz_test.go), so anything
 // the fuzzer finds is replayable here.
 
@@ -37,21 +44,32 @@ func newDiffPair(kind Kind, entries int, logSBF uint) (*diffPair, error) {
 // diffSpanSizes are the superpage sizes op streams draw from.
 var diffSpanSizes = [...]addr.Size{addr.Size4K, addr.Size64K, addr.Size256K, addr.Size1M}
 
-// diffEntry derives a PTE from raw op payload bits. The VPN universe is
-// deliberately small (1024 pages) so streams revisit pages, overlap
-// spans with singles, and insert duplicate tags.
-func diffEntry(x uint64) pte.Entry {
+// diffFrame places every page at a fixed offset aligned to every span
+// size, so superpage and partial-subblock frames are properly placed.
+func diffFrame(vpn addr.VPN) addr.PPN { return addr.PPN(vpn) + 1<<20 }
+
+// diffWord derives a page and its mapping word from raw op payload
+// bits. The VPN universe is deliberately small (1024 pages) so streams
+// revisit pages, overlap spans with singles, and insert duplicate tags.
+func diffWord(x uint64, logSBF uint) (addr.VPN, pte.Word) {
 	vpn := addr.VPN(x & 0x3ff)
-	e := pte.Entry{VPN: vpn, PPN: addr.PPN(vpn) + 1000, Kind: pte.KindBase, Size: addr.Size4K}
+	return vpn, diffWordAt(vpn, x, logSBF)
+}
+
+// diffWordAt builds vpn's word of the kind the payload bits x select —
+// a base page, a superpage of one of diffSpanSizes, or a
+// partial-subblock block with valid vector x>>16 in the stream's
+// logSBF geometry — with the page's diffFrame, aligned as the
+// constructors require.
+func diffWordAt(vpn addr.VPN, x uint64, logSBF uint) pte.Word {
 	switch x >> 10 & 3 {
 	case 2:
-		e.Kind = pte.KindSuperpage
-		e.Size = diffSpanSizes[x>>12&3]
+		size := diffSpanSizes[x>>12&3]
+		return pte.MakeSuperpage(diffFrame(vpn)&^addr.PPN(size.Pages()-1), 0, size)
 	case 3:
-		e.Kind = pte.KindPartial
-		e.ValidMask = uint16(x >> 16)
+		return pte.MakePartial(diffFrame(vpn)&^addr.PPN(1<<logSBF-1), 0, uint16(x>>16), logSBF)
 	}
-	return e
+	return pte.MakeBase(diffFrame(vpn), 0)
 }
 
 // access drives both TLBs with one access and returns the production
@@ -64,13 +82,42 @@ func (p *diffPair) access(va addr.V) (Result, error) {
 	return fr, nil
 }
 
-func (p *diffPair) insert(e pte.Entry) {
-	p.fast.Insert(e)
+// decode is the entry the reference model takes for word w at vpn.
+func (p *diffPair) decode(vpn addr.VPN, w pte.Word) pte.Entry {
+	_, boff := addr.BlockSplit(vpn, p.ref.logSBF)
+	return pte.EntryFromWord(w, vpn, boff)
+}
+
+// insert fills the production TLB with word w for vpn — through
+// InsertWord, or through the Insert adapter on the decoded entry when
+// viaEntry — and the reference model with the decoded entry.
+func (p *diffPair) insert(vpn addr.VPN, w pte.Word, viaEntry bool) {
+	e := p.decode(vpn, w)
+	if viaEntry {
+		p.fast.Insert(e)
+	} else {
+		p.fast.InsertWord(vpn, w)
+	}
 	p.ref.Insert(e)
 }
 
-func (p *diffPair) insertBlock(vpbn addr.VPBN, es []pte.Entry) {
-	p.fast.InsertBlock(vpbn, es)
+// insertBlock prefetches block vpbn from words indexed by block offset
+// (pte.Invalid unmapped): into the production TLB through
+// InsertBlockWords, or through the InsertBlock adapter on the decoded
+// entries when viaEntries, and into the reference model as the decoded
+// entries.
+func (p *diffPair) insertBlock(vpbn addr.VPBN, words []pte.Word, viaEntries bool) {
+	var es []pte.Entry
+	for boff, w := range words {
+		if w != pte.Invalid {
+			es = append(es, p.decode(addr.BlockJoin(vpbn, uint64(boff), p.ref.logSBF), w))
+		}
+	}
+	if viaEntries {
+		p.fast.InsertBlock(vpbn, es)
+	} else {
+		p.fast.InsertBlockWords(vpbn, words)
+	}
 	p.ref.InsertBlock(vpbn, es)
 }
 
@@ -88,15 +135,19 @@ const opInvalidate = 243
 // first observable divergence. Opcode space, below opInvalidate by
 // opcode % 9: 0-4 access, 5 insert, 6 translate, 7 flush, 8 block
 // prefetch (complete-subblock only, otherwise an insert); opInvalidate
-// and above: invalidate.
+// and above: invalidate. Fills reach the production TLB as words
+// (InsertWord, InsertBlockWords) when opcode/9 is even and through the
+// entry adapters (Insert, InsertBlock) when it is odd.
 func (p *diffPair) applyOp(opcode uint8, x uint64) error {
 	if opcode >= opInvalidate {
 		p.invalidate(addr.VPN(x & 0x3ff))
 		return p.stateEqual()
 	}
+	viaEntry := opcode/9%2 == 1
 	switch opcode % 9 {
 	case 5:
-		p.insert(diffEntry(x))
+		vpn, w := diffWord(x, p.ref.logSBF)
+		p.insert(vpn, w, viaEntry)
 	case 6:
 		va := addr.VAOf(addr.VPN(x & 0x3ff))
 		fp, fok := p.fast.Translate(va)
@@ -108,19 +159,21 @@ func (p *diffPair) applyOp(opcode uint8, x uint64) error {
 		p.fast.Flush()
 		p.ref.Flush()
 	case 8:
+		vpn, w := diffWord(x, p.ref.logSBF)
 		if p.fast.Kind() != CompleteSubblock {
-			p.insert(diffEntry(x))
+			p.insert(vpn, w, viaEntry)
 			break
 		}
-		base := diffEntry(x)
-		vpbn, _ := addr.BlockSplit(base.VPN, p.fast.cfg.LogSBF)
-		blockVPN := addr.VPN(uint64(vpbn) << p.fast.cfg.LogSBF)
-		var es []pte.Entry
+		// Up to four of the block's pages, each a word of the kind x
+		// selects.
+		vpbn, _ := addr.BlockSplit(vpn, p.ref.logSBF)
+		var block [pte.MaxBlockWords]pte.Word
+		words := block[:1<<p.ref.logSBF]
 		for i := uint64(0); i < 4; i++ {
-			off := addr.VPN(x >> (16 + 4*i) & (1<<p.fast.cfg.LogSBF - 1))
-			es = append(es, pte.Entry{VPN: blockVPN + off, PPN: addr.PPN(blockVPN+off) + 2000})
+			off := x >> (16 + 4*i) & (1<<p.ref.logSBF - 1)
+			words[off] = diffWordAt(addr.BlockJoin(vpbn, off, p.ref.logSBF), x, p.ref.logSBF)
 		}
-		p.insertBlock(vpbn, es)
+		p.insertBlock(vpbn, words, viaEntry)
 	default:
 		if _, err := p.access(addr.VAOf(addr.VPN(x&0x3ff)) + addr.V(x>>10&0xfff)); err != nil {
 			return err

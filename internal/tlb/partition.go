@@ -88,17 +88,28 @@ func (p *Partitioned) Access(va addr.V) Result {
 	return p.parts[p.route(va)].Access(va)
 }
 
-// Insert routes the translation to the slice owning its page.
-func (p *Partitioned) Insert(e pte.Entry) {
-	p.parts[p.route(addr.VAOf(e.VPN))].Insert(e)
+// InsertWord routes the word fill to the slice owning vpn.
+func (p *Partitioned) InsertWord(vpn addr.VPN, w pte.Word) {
+	p.parts[p.route(addr.VAOf(vpn))].InsertWord(vpn, w)
 }
 
-// InsertBlock routes a complete-subblock prefetch to the slice owning
-// the block's base page. The route function must map a block's pages to
-// one slice for block entries to stay whole.
+// Insert is the entry adapter over InsertWord (TLB.Insert states its
+// domain).
+func (p *Partitioned) Insert(e pte.Entry) { p.InsertWord(e.VPN, e.Word()) }
+
+// InsertBlockWords routes a complete-subblock prefetch to the slice
+// owning the block's base page. The route function must map a block's
+// pages to one slice for block entries to stay whole.
+func (p *Partitioned) InsertBlockWords(vpbn addr.VPBN, words []pte.Word) {
+	base := addr.BlockJoin(vpbn, 0, p.logSBF)
+	p.parts[p.route(addr.VAOf(base))].InsertBlockWords(vpbn, words)
+}
+
+// InsertBlock is the entry adapter over InsertBlockWords: it packs the
+// entries by block offset (pte.PackBlock).
 func (p *Partitioned) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
-	base := addr.VPN(uint64(vpbn) << p.logSBF)
-	p.parts[p.route(addr.VAOf(base))].InsertBlock(vpbn, entries)
+	var words [pte.MaxBlockWords]pte.Word
+	p.InsertBlockWords(vpbn, pte.PackBlock(&words, vpbn, p.logSBF, entries))
 }
 
 // Flush invalidates every slice.

@@ -25,9 +25,11 @@ func streamPPN(vpn addr.VPN) addr.PPN { return addr.PPN(vpn) + 1<<20 }
 
 // streamFill services one miss on vpn in the TLB kind's format: a base
 // page; the largest fully-mapped aligned superpage; a partial-subblock
-// PTE with the block's mapped-page mask, or a superpage for a full
+// word with the block's mapped-page mask, or a superpage for a full
 // block; or, for complete-subblock block misses on odd blocks, a block
 // prefetch (even blocks fill page by page so subblock misses occur).
+// Every fill is a word; misses on odd pages reach the production TLB
+// through the entry adapters instead.
 func streamFill(p *diffPair, vpn addr.VPN, res Result, mapped map[addr.VPN]bool) {
 	fully := func(size addr.Size) bool {
 		base := vpn &^ addr.VPN(size.Pages()-1)
@@ -38,41 +40,43 @@ func streamFill(p *diffPair, vpn addr.VPN, res Result, mapped map[addr.VPN]bool)
 		}
 		return true
 	}
-	e := pte.Entry{VPN: vpn, PPN: streamPPN(vpn), Kind: pte.KindBase, Size: addr.Size4K}
+	viaEntry := vpn%2 == 1
+	w := pte.MakeBase(streamPPN(vpn), 0)
 	vpbn, _ := addr.BlockSplit(vpn, 4)
-	first := addr.VPN(uint64(vpbn) << 4)
+	first := addr.BlockJoin(vpbn, 0, 4)
 	switch p.fast.Kind() {
 	case Superpage:
 		for _, size := range []addr.Size{addr.Size1M, addr.Size256K, addr.Size64K} {
 			if fully(size) {
-				e.Kind, e.Size = pte.KindSuperpage, size
+				w = pte.MakeSuperpage(streamPPN(vpn&^addr.VPN(size.Pages()-1)), 0, size)
 				break
 			}
 		}
 	case PartialSubblock:
 		if fully(addr.Size64K) {
-			e.Kind, e.Size = pte.KindSuperpage, addr.Size64K
+			w = pte.MakeSuperpage(streamPPN(first), 0, addr.Size64K)
 			break
 		}
-		e.Kind = pte.KindPartial
+		var mask uint16
 		for i := addr.VPN(0); i < 16; i++ {
 			if mapped[first+i] {
-				e.ValidMask |= 1 << i
+				mask |= 1 << i
 			}
 		}
+		w = pte.MakePartial(streamPPN(first), 0, mask, 4)
 	case CompleteSubblock:
 		if !res.SubblockMiss && vpbn%2 == 1 {
-			var es []pte.Entry
+			var words [16]pte.Word
 			for i := addr.VPN(0); i < 16; i++ {
 				if mapped[first+i] {
-					es = append(es, pte.Entry{VPN: first + i, PPN: streamPPN(first + i)})
+					words[i] = pte.MakeBase(streamPPN(first+i), 0)
 				}
 			}
-			p.insertBlock(vpbn, es)
+			p.insertBlock(vpbn, words[:], viaEntry)
 			return
 		}
 	}
-	p.insert(e)
+	p.insert(vpn, w, viaEntry)
 }
 
 // TestTLBDifferentialTraceStreams replays traced workloads through

@@ -362,55 +362,54 @@ func (t *TLB) install(v int32) {
 	t.lruAppend(v)
 }
 
-// Insert loads the translation a page-table walk produced for the
-// faulting page. The entry format stored depends on the TLB kind and the
-// PTE kind, per §4–§5:
+// InsertWord is the TLB's fill core: it loads the translation that
+// mapping word w gives the faulting page vpn. The entry format stored
+// depends on the TLB kind and the word's kind, per §4–§5:
 //
 //   - single-page-size TLBs always store one base page;
-//   - superpage TLBs store the whole superpage when the PTE is one;
+//   - superpage TLBs store the whole superpage when the word is one;
 //   - partial-subblock TLBs store the psb vector, treat block-sized-or-
 //     larger superpages as fully-valid blocks, and fall back to a
 //     single-page entry otherwise;
 //   - complete-subblock TLBs add the page's mapping to the block's entry,
 //     allocating it on a block miss.
-func (t *TLB) Insert(e pte.Entry) {
+//
+// The page's frame is w.Frame(vpn, boff), with boff vpn's block offset
+// in the TLB's own LogSBF geometry.
+func (t *TLB) InsertWord(vpn addr.VPN, w pte.Word) {
 	t.tick++
 	t.forget()
-	vpn := e.VPN
+	vpbn, boff := addr.BlockSplit(vpn, t.cfg.LogSBF)
+	ppn := w.Frame(vpn, uint64(boff))
+	kind := w.Kind()
 	switch t.cfg.Kind {
 	case SinglePageSize:
-		t.insertSingle(vpn, e.PPN)
+		t.insertSingle(vpn, ppn)
 	case Superpage:
-		if e.Kind == pte.KindSuperpage {
-			base := vpn &^ addr.VPN(e.Size.Pages()-1)
-			t.insertSpan(base, e.Size, e.PPN-addr.PPN(vpn-base))
+		if kind == pte.KindSuperpage {
+			size := w.Size()
+			t.insertSpan(vpn&^addr.VPN(size.Pages()-1), size, w.PPN())
 			return
 		}
-		t.insertSingle(vpn, e.PPN)
+		t.insertSingle(vpn, ppn)
 	case PartialSubblock:
-		vpbn, boff := addr.BlockSplit(vpn, t.cfg.LogSBF)
 		sbf := uint64(1) << t.cfg.LogSBF
 		switch {
-		case e.Kind == pte.KindPartial:
-			t.insertPSB(vpbn, e.ValidMask, e.PPN-addr.PPN(boff))
-		case e.Kind == pte.KindSuperpage && e.Size.Pages() >= sbf:
+		case kind == pte.KindPartial:
+			t.insertPSB(vpbn, w.ValidMask(), ppn-addr.PPN(boff))
+		case kind == pte.KindSuperpage && w.Size().Pages() >= sbf:
 			// A superpage is a fully-valid properly-placed block (§4.3).
-			mask := uint16(1)<<sbf - 1
-			if sbf == 16 {
-				mask = ^uint16(0)
-			}
-			t.insertPSB(vpbn, mask, e.PPN-addr.PPN(boff))
+			t.insertPSB(vpbn, uint16(uint32(1)<<sbf-1), ppn-addr.PPN(boff))
 		default:
-			t.insertSingle(vpn, e.PPN)
+			t.insertSingle(vpn, ppn)
 		}
 	case CompleteSubblock:
-		vpbn, boff := addr.BlockSplit(vpn, t.cfg.LogSBF)
 		if s := t.idx.lookupBlock(vpbn); s >= 0 {
 			// Subblock miss service: add the mapping, no replacement. The
 			// block tag is unchanged, so the index needs no update.
 			blk := &t.entries[s]
 			blk.mask |= 1 << boff
-			blk.ppns[boff] = e.PPN
+			blk.ppns[boff] = ppn
 			blk.lru = t.tick
 			t.lruTouch(s)
 			return
@@ -418,18 +417,28 @@ func (t *TLB) Insert(e pte.Entry) {
 		v, blk := t.claim()
 		blk.format, blk.vpbn, blk.mask = fCSB, vpbn, 1<<boff
 		blk.ppns = t.csbFrames(blk.ppns)
-		blk.ppns[boff] = e.PPN
+		blk.ppns[boff] = ppn
 		t.install(v)
 	}
 }
 
-// InsertBlock services a complete-subblock block miss with prefetching
-// (§4.4): all of the block's resident mappings load under one tag, so
-// later references to the block's other pages are hits, never subblock
-// misses, and no extra replacements occur.
-func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
+// Insert loads the translation a page-table walk produced for the
+// faulting page: an adapter over InsertWord. It is exact on every entry
+// pte.EntryFromWord returns for a block offset in the TLB's LogSBF
+// geometry — the documented domain of Entry.Word, where the entry's
+// frame is the one its word gives the page.
+func (t *TLB) Insert(e pte.Entry) { t.InsertWord(e.VPN, e.Word()) }
+
+// InsertBlockWords services a complete-subblock block miss with
+// prefetching (§4.4): all of the block's resident mappings load under
+// one tag, so later references to the block's other pages are hits,
+// never subblock misses, and no extra replacements occur. words holds
+// the block's mapping words indexed by block offset, at most
+// 1<<LogSBF of them; pte.Invalid marks an unmapped page. The slice is
+// only read, so a caller may pass its page-table words in place.
+func (t *TLB) InsertBlockWords(vpbn addr.VPBN, words []pte.Word) {
 	if t.cfg.Kind != CompleteSubblock {
-		panic("tlb: InsertBlock on non-complete-subblock TLB")
+		panic("tlb: InsertBlockWords on non-complete-subblock TLB")
 	}
 	t.tick++
 	t.forget()
@@ -444,14 +453,23 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 	blk := &t.entries[s]
 	blk.lru = t.tick
 	t.lruTouch(s)
-	for _, e := range entries {
-		evpbn, boff := addr.BlockSplit(e.VPN, t.cfg.LogSBF)
-		if evpbn != vpbn {
+	first := addr.BlockJoin(vpbn, 0, t.cfg.LogSBF)
+	ppns := blk.ppns[:len(words)]
+	for boff, w := range words {
+		if w == pte.Invalid {
 			continue
 		}
 		blk.mask |= 1 << boff
-		blk.ppns[boff] = e.PPN
+		ppns[boff] = w.Frame(first+addr.VPN(boff), uint64(boff))
 	}
+}
+
+// InsertBlock is the entry adapter over InsertBlockWords: it packs the
+// entries of block vpbn by block offset, the last entry for an offset
+// winning, and skips entries outside the block.
+func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
+	var words [pte.MaxBlockWords]pte.Word
+	t.InsertBlockWords(vpbn, pte.PackBlock(&words, vpbn, t.cfg.LogSBF, entries))
 }
 
 // csbFrames returns the per-subblock frame array for a new

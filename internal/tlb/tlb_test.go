@@ -109,7 +109,7 @@ func TestWorkingSetBehaviour(t *testing.T) {
 
 func TestSuperpageEntryCoverage(t *testing.T) {
 	tl := MustNew(Config{Kind: Superpage})
-	tl.Insert(pte.Entry{VPN: 0x45, PPN: 0x105, Size: addr.Size64K, Kind: pte.KindSuperpage})
+	tl.Insert(pte.Entry{VPN: 0x45, PPN: 0x105, Size: addr.Size64K, Kind: pte.KindSuperpage, BlockPPN: 0x100})
 	// One entry covers all sixteen pages.
 	for i := addr.VPN(0); i < 16; i++ {
 		if r := tl.Access(addr.VAOf(0x40 + i)); !r.Hit {
@@ -301,8 +301,8 @@ func TestKindString(t *testing.T) {
 func TestMixedSizesInSuperpageTLB(t *testing.T) {
 	tl := MustNew(Config{Kind: Superpage, Entries: 4})
 	tl.Insert(base(0x1000, 0x1))
-	tl.Insert(pte.Entry{VPN: 0x40, PPN: 0x100, Size: addr.Size64K, Kind: pte.KindSuperpage})
-	tl.Insert(pte.Entry{VPN: 0x2000, PPN: 0x2000, Size: addr.Size1M, Kind: pte.KindSuperpage})
+	tl.Insert(pte.Entry{VPN: 0x40, PPN: 0x100, Size: addr.Size64K, Kind: pte.KindSuperpage, BlockPPN: 0x100})
+	tl.Insert(pte.Entry{VPN: 0x2000, PPN: 0x2000, Size: addr.Size1M, Kind: pte.KindSuperpage, BlockPPN: 0x2000})
 	if r := tl.Access(addr.VAOf(0x1000)); !r.Hit {
 		t.Error("base entry lost")
 	}

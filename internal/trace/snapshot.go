@@ -47,38 +47,47 @@ func (s ProcessSnapshot) AllPages() []addr.VPN {
 	return out
 }
 
-// Snapshot deterministically places and populates the profile's regions.
-// Layout follows 32-bit Unix convention (the paper's workloads are
-// 32-bit, §6.2): text from 64KB, data/heap packed above it with guard
-// gaps, scattered regions at pseudo-random 64KB-aligned bases below 4GB.
+// Snapshot deterministically places and populates the profile's regions,
+// one ProcSnapshot per process.
 func (p Profile) Snapshot() []ProcessSnapshot {
-	out := make([]ProcessSnapshot, 0, len(p.Procs))
-	for pi, proc := range p.Procs {
-		rng := NewRNG(p.Seed*1000003 + uint64(pi)*7919)
-		snap := ProcessSnapshot{Name: proc.Name, RefShare: proc.RefShare}
-		var taken []addr.Range
-		cursor := addr.V(0x10000)
-		for _, spec := range proc.Regions {
-			base := cursor
-			if spec.Scatter {
-				base = scatterBase(rng, spec.Pages, taken)
-			}
-			if spec.Unaligned {
-				// Offset by a few pages so page blocks straddle region
-				// edges, exercising partially-populated blocks.
-				base += addr.V((1 + rng.Uint64n(7)) * addr.BasePageSize)
-			}
-			pr := placeRegion(rng, spec, base)
-			taken = append(taken, pr.Range())
-			if !spec.Scatter {
-				// Pack the next region above with a guard gap.
-				cursor = addr.AlignUp(pr.Range().End()+addr.V(16*addr.BasePageSize), 0x10000)
-			}
-			snap.Regions = append(snap.Regions, pr)
-		}
-		out = append(out, snap)
+	out := make([]ProcessSnapshot, len(p.Procs))
+	for pi := range p.Procs {
+		out[pi] = p.ProcSnapshot(pi)
 	}
 	return out
+}
+
+// ProcSnapshot places and populates process pi's regions alone: it
+// equals Snapshot()[pi], since each process draws from its own seeded
+// RNG, at the cost of one process instead of all of them. Layout
+// follows 32-bit Unix convention (the paper's workloads are 32-bit,
+// §6.2): text from 64KB, data/heap packed above it with guard gaps,
+// scattered regions at pseudo-random 64KB-aligned bases below 4GB.
+func (p Profile) ProcSnapshot(pi int) ProcessSnapshot {
+	proc := p.Procs[pi]
+	rng := NewRNG(p.Seed*1000003 + uint64(pi)*7919)
+	snap := ProcessSnapshot{Name: proc.Name, RefShare: proc.RefShare}
+	var taken []addr.Range
+	cursor := addr.V(0x10000)
+	for _, spec := range proc.Regions {
+		base := cursor
+		if spec.Scatter {
+			base = scatterBase(rng, spec.Pages, taken)
+		}
+		if spec.Unaligned {
+			// Offset by a few pages so page blocks straddle region
+			// edges, exercising partially-populated blocks.
+			base += addr.V((1 + rng.Uint64n(7)) * addr.BasePageSize)
+		}
+		pr := placeRegion(rng, spec, base)
+		taken = append(taken, pr.Range())
+		if !spec.Scatter {
+			// Pack the next region above with a guard gap.
+			cursor = addr.AlignUp(pr.Range().End()+addr.V(16*addr.BasePageSize), 0x10000)
+		}
+		snap.Regions = append(snap.Regions, pr)
+	}
+	return snap
 }
 
 // scatterBase finds a 64KB-aligned base below 4GB that does not overlap

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"clusterpt/internal/addr"
@@ -107,6 +108,25 @@ func TestSnapshotDeterministic(t *testing.T) {
 		for j := range pa {
 			if pa[j] != pb[j] {
 				t.Fatal("snapshots diverge")
+			}
+		}
+	}
+}
+
+// TestProcSnapshotMatchesSnapshot pins the one-process placement the
+// single-process experiments use against the whole-profile snapshot:
+// for every profile and process, placing that process alone (in reverse
+// order, so no process's placement can lean on an earlier one's) must
+// deep-equal its entry in Snapshot.
+func TestProcSnapshotMatchesSnapshot(t *testing.T) {
+	for _, p := range Profiles() {
+		all := p.Snapshot()
+		if len(all) != len(p.Procs) {
+			t.Fatalf("%s: %d snapshots for %d processes", p.Name, len(all), len(p.Procs))
+		}
+		for pi := len(p.Procs) - 1; pi >= 0; pi-- {
+			if got := p.ProcSnapshot(pi); !reflect.DeepEqual(got, all[pi]) {
+				t.Errorf("%s: ProcSnapshot(%d) differs from Snapshot()[%d]", p.Name, pi, pi)
 			}
 		}
 	}
