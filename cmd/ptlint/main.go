@@ -1,5 +1,5 @@
 // Command ptlint runs the repository's static-analysis suite
-// (internal/analysis): ten zero-dependency analyzers that mechanically
+// (internal/analysis): eight zero-dependency analyzers that mechanically
 // enforce the determinism, atomic-counter, locking, error-handling,
 // arena-lifetime and annotation invariants the concurrent engine and
 // service layer rely on.

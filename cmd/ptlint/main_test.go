@@ -103,7 +103,7 @@ func TestGoldenJSON(t *testing.T) {
 		}
 	}
 	for _, check := range []string{
-		"nodeterminism", "atomiccounters", "locksafety", "errdrop",
+		"atomiccounters", "locksafety", "errdrop",
 		"guardedby", "handlelife", "detflow",
 	} {
 		if !seen[check] {
@@ -139,12 +139,15 @@ func TestListChecks(t *testing.T) {
 		t.Fatalf("-list exit code = %d", code)
 	}
 	for _, check := range []string{
-		"nodeterminism", "atomiccounters", "locksafety", "errdrop",
+		"atomiccounters", "locksafety", "errdrop",
 		"guardedby", "handlelife", "detflow",
 	} {
 		if !strings.Contains(stdout.String(), check) {
 			t.Errorf("-list output missing %s:\n%s", check, stdout.String())
 		}
+	}
+	if n := strings.Count(stdout.String(), "\n"); n != 8 {
+		t.Errorf("-list printed %d checks, want 8:\n%s", n, stdout.String())
 	}
 }
 
@@ -159,7 +162,8 @@ func TestUnknownCheckRejected(t *testing.T) {
 }
 
 // TestChecksFilter pins that -checks restricts the run: only errdrop
-// findings appear when only errdrop is selected.
+// and detflow findings appear when only those two are selected, and
+// both do.
 func TestChecksFilter(t *testing.T) {
 	fixture, err := filepath.Abs(filepath.Join("testdata", "src", "demo"))
 	if err != nil {
@@ -167,12 +171,21 @@ func TestChecksFilter(t *testing.T) {
 	}
 	chdir(t, fixture)
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-checks", "errdrop", "./..."}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-checks", "errdrop,detflow", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr.String())
 	}
+	seen := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
-		if !strings.Contains(line, "[errdrop]") {
-			t.Errorf("non-errdrop finding leaked through -checks=errdrop: %s", line)
+		switch {
+		case strings.Contains(line, "[errdrop]"):
+			seen["errdrop"] = true
+		case strings.Contains(line, "[detflow]"):
+			seen["detflow"] = true
+		default:
+			t.Errorf("finding outside -checks=errdrop,detflow leaked through: %s", line)
 		}
+	}
+	if !seen["errdrop"] || !seen["detflow"] {
+		t.Errorf("-checks=errdrop,detflow did not report both checks:\n%s", stdout.String())
 	}
 }

@@ -1,14 +1,18 @@
-// Package trace is deterministic under DefaultConfig: the golden test
-// pins one nodeterminism finding and one suppressed one.
+// Package trace feeds wall-clock values into report rows: the golden
+// test pins one detflow finding here and one suppressed one.
 package trace
 
-import "time"
+import (
+	"time"
 
-func Seed() uint64 {
-	return uint64(time.Now().UnixNano()) // the golden finding
+	"demo/internal/report"
+)
+
+func Seed(t *report.Table) {
+	t.Row(uint64(time.Now().UnixNano())) // the golden finding
 }
 
-func Instrumented() time.Duration {
-	start := time.Now()      //ptlint:allow nodeterminism instrumentation only; suppressed in golden output
-	return time.Since(start) //ptlint:allow nodeterminism instrumentation only; suppressed in golden output
+func Instrumented(t *report.Table, start time.Time) {
+	//ptlint:allow detflow instrumentation only; suppressed in golden output
+	t.Row(time.Since(start))
 }

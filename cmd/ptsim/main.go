@@ -208,10 +208,7 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 			return nil
 		}
 		if kind == tlb.CompleteSubblock && !r.SubblockMiss {
-			br, ok := build.Table.(pagetable.BlockReader)
-			if !ok {
-				return fmt.Errorf("table %q cannot prefetch blocks", *tableName)
-			}
+			br := build.Table.(pagetable.BlockReader) // checkFlags verified it
 			vpbn, _ := addr.BlockSplit(addr.VPNOf(va), 4)
 			var cost pagetable.WalkCost
 			var found bool
@@ -255,7 +252,9 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 	return res, nil
 }
 
-// checkFlags rejects numeric flag values the simulator cannot honor.
+// checkFlags rejects numeric flag values the simulator cannot honor, an
+// unknown -table, and -tlb subblock flag sets whose block prefetch
+// cannot run.
 func checkFlags() error {
 	switch {
 	case *entries < 1:
@@ -280,6 +279,19 @@ func checkFlags() error {
 		return fmt.Errorf("-replicas %d: must not be negative", *replicas)
 	case *replicas > memcost.DefaultNodes:
 		return fmt.Errorf("-replicas %d exceeds the %d-node NUMA model", *replicas, memcost.DefaultNodes)
+	}
+	pt, err := newTable(memcost.NewModel(*lineSize))
+	if err != nil {
+		return fmt.Errorf("-table: %w", err)
+	}
+	if *tlbName == "subblock" {
+		// The complete-subblock prefetch reads whole 16-page blocks.
+		if *sbf != 16 {
+			return fmt.Errorf("-sbf %d: -tlb subblock prefetches 16-page blocks, so it needs -sbf 16", *sbf)
+		}
+		if _, ok := pt.(pagetable.BlockReader); !ok {
+			return fmt.Errorf("-table %s cannot prefetch blocks for -tlb subblock", *tableName)
+		}
 	}
 	return nil
 }

@@ -73,9 +73,13 @@ func TestReplicasRejectSubblock(t *testing.T) {
 // default, a negative -workers, or a -replicas outside [0,
 // memcost.DefaultNodes], is an error reported before any cell runs,
 // never a panic, an out-of-memory crash, a silent default, a NaN report
-// or a wrapped-around total.
+// or a wrapped-around total. So is an unknown -table, and a -tlb
+// subblock run whose 16-page block prefetch cannot work: any -sbf but
+// 16, or a table that cannot read a whole block.
 func TestRejectsBadNumericFlags(t *testing.T) {
 	t.Cleanup(func() {
+		flag.Set("table", "clustered")
+		flag.Set("tlb", "single")
 		flag.Set("entries", "64")
 		flag.Set("line", "256")
 		flag.Set("refs", "400000")
@@ -85,37 +89,50 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 		flag.Set("replicas", "0")
 		flag.Set("seed", "1")
 	})
-	for _, tc := range []struct{ name, value string }{
-		{"entries", "-1"},
-		{"entries", "0"},
-		{"entries", "300000000"},
-		{"entries", "3000000000"},
-		{"line", "100"},
-		{"line", "4"},
-		{"line", "0"},
-		{"refs", "-5"},
-		{"refs", "0"},
-		{"seed", "0"},
-		{"buckets", "0"},
-		{"buckets", "3"},
-		{"buckets", "-4096"},
-		{"buckets", "-9223372036854775808"},
-		{"sbf", "0"},
-		{"sbf", "1"},
-		{"sbf", "3"},
-		{"sbf", "128"},
-		{"sbf", "-16"},
-		{"workers", "-3"},
-		{"replicas", "-3"},
-		{"replicas", "9"},
+	for _, tc := range []struct{ name, value, tlb string }{
+		{"entries", "-1", ""},
+		{"entries", "0", ""},
+		{"entries", "300000000", ""},
+		{"entries", "3000000000", ""},
+		{"line", "100", ""},
+		{"line", "4", ""},
+		{"line", "0", ""},
+		{"refs", "-5", ""},
+		{"refs", "0", ""},
+		{"seed", "0", ""},
+		{"buckets", "0", ""},
+		{"buckets", "3", ""},
+		{"buckets", "-4096", ""},
+		{"buckets", "-9223372036854775808", ""},
+		{"sbf", "0", ""},
+		{"sbf", "1", ""},
+		{"sbf", "3", ""},
+		{"sbf", "128", ""},
+		{"sbf", "-16", ""},
+		{"workers", "-3", ""},
+		{"replicas", "-3", ""},
+		{"replicas", "9", ""},
+		{"sbf", "2", "subblock"},
+		{"sbf", "8", "subblock"},
+		{"sbf", "32", "subblock"},
+		{"table", "nonesuch", ""},
+		{"table", "swtlb-clustered", "subblock"},
+		{"table", "hashed-multi", "subblock"},
+		{"table", "hashed-spindex", "subblock"},
 	} {
-		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
+		name := tc.name + "=" + tc.value
+		if tc.tlb == "" {
+			tc.tlb = "single"
+		} else {
+			name += ",tlb=" + tc.tlb
+		}
+		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			out, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", "single",
+			out, err := simulate(t, "w", "gcc", "table", "clustered", "tlb", tc.tlb,
 				"refs", "20000", "entries", "64", "line", "256", "buckets", "4096", "sbf", "16",
 				"replicas", "0", "workers", "1", "seed", "1", tc.name, tc.value)
 			if err == nil || !strings.Contains(err.Error(), "-"+tc.name) {
@@ -125,6 +142,34 @@ func TestRejectsBadNumericFlags(t *testing.T) {
 				t.Fatalf("printed a report before failing:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestFlagGrid runs every -tlb × -table × -sbf {8, 16} flag set on gcc:
+// each must either fail flag validation (exit 2) or run every cell
+// (exit 0). None may pass validation and then fail in a cell (exit 1).
+func TestFlagGrid(t *testing.T) {
+	t.Cleanup(func() {
+		flag.Set("table", "clustered")
+		flag.Set("tlb", "single")
+		flag.Set("sbf", "16")
+	})
+	for _, tl := range []string{"single", "superpage", "psb", "subblock"} {
+		for _, table := range []string{"clustered", "hashed", "hashed-multi", "hashed-spindex", "linear", "forward", "swtlb-clustered"} {
+			for _, sbf := range []string{"8", "16"} {
+				for _, kv := range [][2]string{{"tlb", tl}, {"table", table}, {"sbf", sbf}} {
+					if err := flag.Set(kv[0], kv[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if checkFlags() != nil {
+					continue
+				}
+				if _, err := simulate(t, "w", "gcc", "refs", "20000", "replicas", "0", "workers", "1"); err != nil {
+					t.Errorf("-tlb %s -table %s -sbf %s passed validation, then failed: %v", tl, table, sbf, err)
+				}
+			}
+		}
 	}
 }
 

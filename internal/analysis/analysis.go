@@ -15,10 +15,6 @@ import (
 // against both the real module and the small fixture modules under
 // testdata. DefaultConfig wires the repository's invariants.
 type Config struct {
-	// DeterministicPkgs lists the import paths whose output must be
-	// byte-identical at any worker count; nodeterminism only fires inside
-	// them.
-	DeterministicPkgs []string
 	// CountersType is the qualified name ("pkgpath.Type") of the atomic
 	// counters struct whose fields must never be touched directly outside
 	// its own package.
@@ -40,11 +36,6 @@ type Config struct {
 	// sensitive; hotpathalloc flags string-keyed counter maps only
 	// inside them.
 	HotPkgs []string
-	// MergePkgs lists the packages that run independent replays
-	// concurrently and merge their results: the engine's worker pool
-	// (DESIGN.md §10), and sim, whose replays the pool runs. shardmerge
-	// flags order-dependent merges only inside them.
-	MergePkgs []string
 	// HandleTypes lists the qualified names ("pkgpath.Type") of
 	// generation-tagged arena handle types; handlelife tracks their
 	// lifetimes across Reset/recycle calls.
@@ -65,11 +56,6 @@ type Config struct {
 func DefaultConfig(module string) Config {
 	p := func(rel string) string { return module + "/" + rel }
 	return Config{
-		DeterministicPkgs: []string{
-			p("internal/trace"), p("internal/sim"), p("internal/tlb"),
-			p("internal/swtlb"), p("internal/memcost"), p("internal/report"),
-			p("internal/engine"),
-		},
 		CountersType: p("internal/pagetable") + ".Counters",
 		ErrInterface: p("internal/pagetable") + ".PageTable",
 		ErrPkgs:      []string{p("internal/service")},
@@ -88,7 +74,6 @@ func DefaultConfig(module string) Config {
 		},
 		AllocPkg:    p("internal/ptalloc"),
 		HotPkgs:     []string{p("internal/sim")},
-		MergePkgs:   []string{p("internal/sim"), p("internal/engine")},
 		HandleTypes: []string{p("internal/ptalloc") + ".Handle"},
 		RecycleFuncs: []string{
 			p("internal/pagetable") + ".Resetter.Reset",
@@ -208,13 +193,11 @@ func findImported(pkg *types.Package, path string, seen map[*types.Package]bool)
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoDeterminism,
 		AtomicCounters,
 		LockSafety,
 		ErrDrop,
 		ArenaAlloc,
 		HotPathAlloc,
-		ShardMerge,
 		GuardedBy,
 		HandleLife,
 		DetFlow,
@@ -266,9 +249,9 @@ func RunWithStats(mod *Module, analyzers []*Analyzer, cfg Config) ([]Diagnostic,
 				Fset:     mod.Fset,
 				diags:    &diags,
 			}
-			start := time.Now() //ptlint:allow nodeterminism lint timing is diagnostics, not rendered output
+			start := time.Now()
 			a.Run(pass)
-			stats[i].Duration += time.Since(start) //ptlint:allow nodeterminism lint timing is diagnostics, not rendered output
+			stats[i].Duration += time.Since(start)
 		}
 	}
 

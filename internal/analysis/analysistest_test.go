@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,12 +94,24 @@ func scanWants(t *testing.T, root string) []expectation {
 // diagnostics against the fixture's want markers.
 func runFixture(t *testing.T, fixture string, a *analysis.Analyzer, cfg analysis.Config) {
 	t.Helper()
+	runFixtureFile(t, fixture, "", a, cfg)
+}
+
+// runFixtureFile is runFixture narrowed to one module-root-relative
+// file: only that file's want markers and diagnostics are matched. An
+// empty file matches the whole fixture.
+func runFixtureFile(t *testing.T, fixture, file string, a *analysis.Analyzer, cfg analysis.Config) {
+	t.Helper()
 	mod := loadFixture(t, fixture)
 	diags := analysis.Run(mod, []*analysis.Analyzer{a}, cfg)
 	wants := scanWants(t, mod.RootDir)
+	if file != "" {
+		diags = slices.DeleteFunc(diags, func(d analysis.Diagnostic) bool { return d.Pos.Filename != file })
+		wants = slices.DeleteFunc(wants, func(w expectation) bool { return w.file != file })
+	}
 
 	if len(wants) == 0 {
-		t.Fatalf("fixture %s has no want markers; a golden test that expects nothing tests nothing", fixture)
+		t.Fatalf("fixture %s %s has no want markers; a golden test that expects nothing tests nothing", fixture, file)
 	}
 
 	matched := make([]bool, len(diags))
@@ -130,17 +143,15 @@ func runFixture(t *testing.T, fixture string, a *analysis.Analyzer, cfg analysis
 // at a fixture module's own types.
 func fixtureConfig(mod string) analysis.Config {
 	return analysis.Config{
-		DeterministicPkgs: []string{mod, mod + "/det"},
-		CountersType:      mod + "/pt.Counters",
-		ErrInterface:      mod + "/pt.PageTable",
-		ErrPkgs:           []string{mod + "/svc"},
-		NodeTypes:         []string{mod + "/tab.Node", mod + "/tab.Entry"},
-		AllocPkg:          mod + "/alloc",
-		HotPkgs:           []string{mod, mod + "/hot"},
-		MergePkgs:         []string{mod, mod + "/merge"},
-		HandleTypes:       []string{mod + "/alloc.Handle"},
-		RecycleFuncs:      []string{mod + "/pt.Resetter.Reset", mod + "/pool.Pool.Release"},
-		SinkFuncs:         []string{mod + "/rep.Table.Row", mod + "/rep.Table.Render", mod + "/eng.Fan"},
+		CountersType: mod + "/pt.Counters",
+		ErrInterface: mod + "/pt.PageTable",
+		ErrPkgs:      []string{mod + "/svc"},
+		NodeTypes:    []string{mod + "/tab.Node", mod + "/tab.Entry"},
+		AllocPkg:     mod + "/alloc",
+		HotPkgs:      []string{mod, mod + "/hot"},
+		HandleTypes:  []string{mod + "/alloc.Handle"},
+		RecycleFuncs: []string{mod + "/pt.Resetter.Reset", mod + "/pool.Pool.Release"},
+		SinkFuncs:    []string{mod + "/rep.Table.Row", mod + "/rep.Table.Render", mod + "/eng.Fan"},
 	}
 }
 

@@ -7,10 +7,6 @@ import (
 	"clusterpt/internal/analysis"
 )
 
-func TestNoDeterminism(t *testing.T) {
-	runFixture(t, "det", analysis.NoDeterminism, fixtureConfig("det"))
-}
-
 func TestAtomicCounters(t *testing.T) {
 	runFixture(t, "ctr", analysis.AtomicCounters, fixtureConfig("ctr"))
 }
@@ -31,10 +27,6 @@ func TestHotPathAlloc(t *testing.T) {
 	runFixture(t, "hot", analysis.HotPathAlloc, fixtureConfig("hot"))
 }
 
-func TestShardMerge(t *testing.T) {
-	runFixture(t, "merge", analysis.ShardMerge, fixtureConfig("merge"))
-}
-
 func TestGuardedBy(t *testing.T) {
 	runFixture(t, "guard", analysis.GuardedBy, fixtureConfig("guard"))
 }
@@ -47,26 +39,28 @@ func TestDetFlow(t *testing.T) {
 	runFixture(t, "flow", analysis.DetFlow, fixtureConfig("flow"))
 }
 
-// TestNoDeterminismScopedToConfiguredPackages pins that the analyzer is
-// silent outside Config.DeterministicPkgs: the same fixture full of
-// violations produces nothing when the config names no packages.
-func TestNoDeterminismScopedToConfiguredPackages(t *testing.T) {
-	mod := loadFixture(t, "det")
-	diags := analysis.Run(mod, []*analysis.Analyzer{analysis.NoDeterminism}, analysis.Config{})
-	if len(diags) != 0 {
-		t.Fatalf("nodeterminism fired outside its configured packages: %v", diags)
-	}
+// TestNoDeterminism pins the source-site and map-order cases (wall
+// clock, global RNG, map-ordered output, float accumulation, transformed
+// appends) and their exemptions, all owned by detflow in use/det.go.
+func TestNoDeterminism(t *testing.T) {
+	runFixtureFile(t, "flow", "use/det.go", analysis.DetFlow, fixtureConfig("flow"))
+}
+
+// TestShardMerge pins the order-dependent merge cases inside chan and
+// map ranges and their exemptions, all owned by detflow in use/merge.go.
+func TestShardMerge(t *testing.T) {
+	runFixtureFile(t, "flow", "use/merge.go", analysis.DetFlow, fixtureConfig("flow"))
 }
 
 // TestSuppressionRequiresMatchingCheck pins that //ptlint:allow only
-// silences the named check: running errdrop over the det fixture's
-// nodeterminism-allowed lines must not hide an errdrop finding, and
-// vice versa the det fixture's allows must not leak across analyzers.
+// silences the named check: the errpt fixture's errdrop allows must not
+// leak across analyzers, and its errdrop wants must survive a full-suite
+// run.
 func TestSuppressionRequiresMatchingCheck(t *testing.T) {
 	mod := loadFixture(t, "errpt")
 	cfg := fixtureConfig("errpt")
 	// Run the full suite: the errdrop allows in the fixture must not
-	// suppress any locksafety/atomiccounters/nodeterminism findings
+	// suppress any locksafety/atomiccounters/detflow findings
 	// (there are none to find), and the errdrop wants must survive.
 	diags := analysis.Run(mod, analysis.Analyzers(), cfg)
 	var errdrops int
@@ -86,21 +80,21 @@ func TestSuppressionRequiresMatchingCheck(t *testing.T) {
 // TestDiagnosticString pins the human-readable line format the CI log
 // greps for.
 func TestDiagnosticString(t *testing.T) {
-	mod := loadFixture(t, "det")
-	diags := analysis.Run(mod, []*analysis.Analyzer{analysis.NoDeterminism}, fixtureConfig("det"))
+	mod := loadFixture(t, "flow")
+	diags := analysis.Run(mod, []*analysis.Analyzer{analysis.DetFlow}, fixtureConfig("flow"))
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
 	}
 	s := diags[0].String()
-	if !strings.Contains(s, "det.go:") || !strings.Contains(s, "[nodeterminism]") {
+	if !strings.HasPrefix(s, "use/") || !strings.Contains(s, ".go:") || !strings.Contains(s, "[detflow]") {
 		t.Errorf("diagnostic line %q missing file anchor or [check] tag", s)
 	}
 }
 
 // TestAnalyzersStable pins the suite's composition: CI and docs name
-// these ten checks.
+// these eight checks.
 func TestAnalyzersStable(t *testing.T) {
-	want := []string{"nodeterminism", "atomiccounters", "locksafety", "errdrop", "arenaalloc", "hotpathalloc", "shardmerge", "guardedby", "handlelife", "detflow"}
+	want := []string{"atomiccounters", "locksafety", "errdrop", "arenaalloc", "hotpathalloc", "guardedby", "handlelife", "detflow"}
 	got := analysis.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

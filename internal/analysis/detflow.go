@@ -8,14 +8,25 @@ import (
 	"strings"
 )
 
-// DetFlow generalizes nodeterminism/shardmerge from source-site checks
-// to taint propagation (DESIGN.md §12): a value derived from a
-// wall-clock read, the global RNG, a map-iteration append, or an
-// unsorted channel-merge append is traced through assignments, reads,
-// and module-internal calls; a finding is reported only when such a
-// value reaches a rendering or merge entry point (Config.SinkFuncs), so
-// a nondeterministic value two call frames away from report.Render is
-// caught even though every individual frame looks innocent.
+// DetFlow guards the engine's byte-identity invariant (DESIGN.md §12):
+// rendered output must be identical at any -workers count. It traces a
+// value derived from a nondeterminism source — a wall-clock read
+// (time.Now/Since/Until), a math/rand package-level function drawing
+// from the process-global source, or a collection or merge made in map
+// iteration or channel delivery order — through assignments, reads and
+// module-internal calls, and reports only when such a value reaches a
+// rendering or merge entry point (Config.SinkFuncs). A nondeterministic
+// value two call frames away from report.Render is caught even though
+// every individual frame looks innocent, and timing code whose values
+// never reach a sink needs no annotation.
+//
+// Inside a map or chan range, appends to an outer slice (unless the
+// collect-and-sort idiom restores a canonical order), float op-assigns
+// into an outer variable and merge-shaped method calls (Add, Merge,
+// Combine, Accumulate, Reduce) on an outer plain-identifier receiver
+// taint their target; a sink called inside a map range with the loop
+// variables as arguments is a finding by itself, since it emits in map
+// order.
 //
 // Per-function summaries are computed module-wide in import order:
 // whether a function returns a tainted value, and whether a parameter
@@ -201,10 +212,15 @@ func (df *dfFunc) assign(as *ast.AssignStmt) {
 	}
 }
 
-// rangeTaint handles both range hazards: loop variables of a tainted
-// container become tainted, and appends to an outer variable inside a
-// map/chan range taint the target with an iteration-order reason
-// (unless the collect-and-sort idiom restores a canonical order).
+// rangeTaint applies the range transfer rules. Loop variables of a
+// tainted container become tainted. Inside a map or chan range, whose
+// order Go randomizes or scheduling decides, three shapes taint a
+// variable declared outside the range with the iteration-order reason:
+// an append to it, unless the collect-and-sort idiom restores a
+// canonical order; a float op-assign into it, since float addition is
+// not associative; and a merge-shaped method call with it as the plain
+// identifier receiver. Integer op-assigns commute and stay clean, and
+// selector receivers (rc.done.Add(1)) are bookkeeping, not merges.
 func (df *dfFunc) rangeTaint(rs *ast.RangeStmt, sorted map[types.Object]bool) {
 	if r := df.taintOf(rs.X); r != "" {
 		for _, v := range []ast.Expr{rs.Key, rs.Value} {
@@ -215,60 +231,102 @@ func (df *dfFunc) rangeTaint(rs *ast.RangeStmt, sorted map[types.Object]bool) {
 			}
 		}
 	}
-	t := dfTypeOf(df.pkg, rs.X)
-	if t == nil {
+	reason := dfRangeOrder(df.pkg, rs)
+	if reason == "" {
 		return
 	}
-	var reason string
-	switch t.Underlying().(type) {
-	case *types.Map:
-		reason = "map iteration order"
-	case *types.Chan:
-		reason = "channel delivery order"
-	default:
-		return
-	}
-	loopVars := map[types.Object]bool{}
-	for _, v := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := v.(*ast.Ident); ok {
-			if obj := pkgObjectOf(df.pkg, id); obj != nil {
-				loopVars[obj] = true
-			}
-		}
-	}
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
+	taintOuter := func(e ast.Expr, why string) {
+		id, ok := stripParens(e).(*ast.Ident)
 		if !ok {
-			return true
+			return
 		}
-		for i, rhs := range as.Rhs {
-			call, ok := stripParens(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				continue
+		obj := pkgObjectOf(df.pkg, id)
+		if obj == nil || obj.Pos() == token.NoPos ||
+			(obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
+			return // loop-local
+		}
+		df.tainted[obj] = pickReason(df.tainted[obj], why)
+	}
+	loopVars := dfLoopVars(df.pkg, rs)
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			switch n.Tok {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+				for _, lhs := range n.Lhs {
+					if t := dfTypeOf(df.pkg, lhs); t != nil && isFloat(t) {
+						taintOuter(lhs, "float accumulation in "+reason)
+					}
+				}
 			}
-			fid, ok := call.Fun.(*ast.Ident)
-			if !ok {
-				continue
+			for i, rhs := range n.Rhs {
+				call, ok := stripParens(rhs).(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 || i >= len(n.Lhs) {
+					continue
+				}
+				fid, ok := call.Fun.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if b, ok := pkgObjectOf(df.pkg, fid).(*types.Builtin); !ok || b.Name() != "append" {
+					continue
+				}
+				if tid, ok := call.Args[0].(*ast.Ident); ok &&
+					!(sorted[pkgObjectOf(df.pkg, tid)] && dfAppendsOnlyLoopVars(df.pkg, call, loopVars)) {
+					taintOuter(tid, reason)
+				}
 			}
-			if b, ok := pkgObjectOf(df.pkg, fid).(*types.Builtin); !ok || b.Name() != "append" {
-				continue
+		case *ast.CallExpr:
+			if sel, ok := stripParens(n.Fun).(*ast.SelectorExpr); ok && mergeMethodName(sel.Sel.Name) {
+				taintOuter(sel.X, sel.Sel.Name+" merge in "+reason)
 			}
-			tid, ok := call.Args[0].(*ast.Ident)
-			if !ok || i >= len(as.Lhs) {
-				continue
-			}
-			obj := pkgObjectOf(df.pkg, tid)
-			if obj == nil || obj.Pos() == token.NoPos ||
-				(obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
-				continue // loop-local collection
-			}
-			if sorted[obj] && dfAppendsOnlyLoopVars(df.pkg, call, loopVars) {
-				continue // collect-and-sort: canonical order restored
-			}
-			df.tainted[obj] = pickReason(df.tainted[obj], reason)
 		}
 		return true
 	})
+}
+
+// dfRangeOrder names the order a range statement visits its elements
+// in when that order varies run to run: a map's or a channel's.
+func dfRangeOrder(pkg *Package, rs *ast.RangeStmt) string {
+	t := dfTypeOf(pkg, rs.X)
+	if t == nil {
+		return ""
+	}
+	switch t.Underlying().(type) {
+	case *types.Map:
+		return "map iteration order"
+	case *types.Chan:
+		return "channel delivery order"
+	}
+	return ""
+}
+
+// dfLoopVars returns the objects of a range statement's key and value.
+func dfLoopVars(pkg *Package, rs *ast.RangeStmt) map[types.Object]bool {
+	vars := map[types.Object]bool{}
+	for _, v := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := v.(*ast.Ident); ok {
+			if obj := pkgObjectOf(pkg, id); obj != nil {
+				vars[obj] = true
+			}
+		}
+	}
+	return vars
+}
+
+// mergeMethodName reports whether a method name is merge-shaped.
+func mergeMethodName(name string) bool {
+	for _, m := range []string{"add", "merge", "combine", "accumulate", "reduce"} {
+		if strings.EqualFold(name, m) {
+			return true
+		}
+	}
+	return false
+}
+
+func isFloat(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // sinkScan records findings for tainted values reaching sinks, and the
@@ -284,9 +342,63 @@ func (df *dfFunc) sinkScan(body *ast.BlockStmt, collect bool) {
 			}
 		case *ast.CallExpr:
 			df.checkSinkCall(n, collect)
+		case *ast.RangeStmt:
+			if collect {
+				df.mapEmission(n)
+			}
 		}
 		return true
 	})
+}
+
+// mapEmission records sink calls inside a map range whose arguments
+// read the loop variables: the calls emit in map iteration order, which
+// Go randomizes per run, even when every emitted value is clean.
+func (df *dfFunc) mapEmission(rs *ast.RangeStmt) {
+	if dfRangeOrder(df.pkg, rs) != "map iteration order" {
+		return
+	}
+	loopVars := dfLoopVars(df.pkg, rs)
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		q := qualifiedFuncName(calleeOf(df.pkg, call))
+		if !df.sinks[q] {
+			return true
+		}
+		for _, arg := range call.Args {
+			if dfReads(df.pkg, arg, loopVars) {
+				df.report(arg.Pos(), "sink "+shortQualified(q)+" called in map iteration order with the loop variables: emission order varies per run; iterate sorted keys instead")
+				break
+			}
+		}
+		return true
+	})
+}
+
+// dfReads reports whether e mentions any of vars.
+func dfReads(pkg *Package, e ast.Expr, vars map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && vars[pkgObjectOf(pkg, id)] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// report records one finding, at most one per position: a sink
+// argument can be both tainted and emitted in map order.
+func (df *dfFunc) report(pos token.Pos, msg string) {
+	for _, f := range df.found {
+		if f.pos == pos {
+			return
+		}
+	}
+	df.found = append(df.found, dfFinding{pos: pos, msg: msg})
 }
 
 func (df *dfFunc) checkSinkCall(call *ast.CallExpr, collect bool) {
@@ -315,10 +427,7 @@ func (df *dfFunc) checkSinkCall(call *ast.CallExpr, collect bool) {
 			idx := paramIndex(reason)
 			df.summary.paramSinks[idx] = callee.Name() + " -> " + chain
 		case collect:
-			df.found = append(df.found, dfFinding{
-				pos: arg.Pos(),
-				msg: "nondeterministic value (tainted by " + reason + ") reaches " + chain + " via " + callee.Name() + ": rendered output must be byte-identical at any worker count; derive it deterministically or annotate the exception",
-			})
+			df.report(arg.Pos(), "nondeterministic value (tainted by "+reason+") reaches "+chain+" via "+callee.Name()+": rendered output must be byte-identical at any worker count; derive it deterministically or annotate the exception")
 		}
 	}
 }
@@ -332,10 +441,7 @@ func (df *dfFunc) flagArgs(call *ast.CallExpr, sink string, collect bool) {
 		case isParamReason(reason):
 			df.summary.paramSinks[paramIndex(reason)] = sink
 		case collect:
-			df.found = append(df.found, dfFinding{
-				pos: arg.Pos(),
-				msg: "nondeterministic value (tainted by " + reason + ") reaches " + sink + ": rendered output must be byte-identical at any worker count; derive it deterministically or annotate the exception",
-			})
+			df.report(arg.Pos(), "nondeterministic value (tainted by "+reason+") reaches "+sink+": rendered output must be byte-identical at any worker count; derive it deterministically or annotate the exception")
 		}
 	}
 }
@@ -417,7 +523,8 @@ func (df *dfFunc) callTaint(call *ast.CallExpr) string {
 }
 
 // dfSourceCall recognizes the root nondeterminism sources: wall-clock
-// reads and the global RNG (mirroring nodeterminism's source set).
+// reads and the global RNG. Methods and the math/rand constructors are
+// not sources: a locally seeded generator is reproducible.
 func dfSourceCall(pkg *Package, call *ast.CallExpr) string {
 	sel, ok := stripParens(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -455,7 +562,8 @@ func dfTypeOf(pkg *Package, e ast.Expr) types.Type {
 	return nil
 }
 
-// dfSortedSlices mirrors nodeterminism's sortedSlices at package scope.
+// dfSortedSlices collects the objects a function passes to sort.* or
+// slices.Sort*, which exempts the collect-and-sort idiom.
 func dfSortedSlices(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -484,7 +592,8 @@ func dfSortedSlices(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
 	return out
 }
 
-// dfAppendsOnlyLoopVars mirrors appendsOnlyLoopVars at package scope.
+// dfAppendsOnlyLoopVars reports whether every appended element is one
+// of the range statement's own key/value identifiers.
 func dfAppendsOnlyLoopVars(pkg *Package, call *ast.CallExpr, loopVars map[types.Object]bool) bool {
 	if len(loopVars) == 0 {
 		return false

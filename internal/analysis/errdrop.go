@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // ErrDrop guards the page-table operation contracts: Map, Unmap,
@@ -166,7 +167,7 @@ func guardedErrCall(pass *Pass, iface *types.Interface, call *ast.CallExpr) (str
 	}
 
 	// Case 2: anything from the configured service packages.
-	if fn.Pkg() != nil && containsString(pass.Config.ErrPkgs, fn.Pkg().Path()) {
+	if fn.Pkg() != nil && slices.Contains(pass.Config.ErrPkgs, fn.Pkg().Path()) {
 		return displayName(fn), true
 	}
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -97,7 +98,7 @@ func recyclerSummaries(mod *Module, cfg Config) map[*types.Func]string {
 					rec[fn] = recvTypeName(sig.Recv().Type()) + ".Reset"
 				}
 			}
-			if q := qualifiedFuncName(fn); q != "" && containsString(cfg.RecycleFuncs, q) {
+			if q := qualifiedFuncName(fn); q != "" && slices.Contains(cfg.RecycleFuncs, q) {
 				rec[fn] = shortQualified(q)
 			}
 		}
@@ -128,7 +129,7 @@ func recyclerSummaries(mod *Module, cfg Config) map[*types.Func]string {
 					}
 					if why, ok := rec[callee]; ok {
 						next[fn] = fn.Name() + " -> " + why
-					} else if q := qualifiedFuncName(callee); q != "" && containsString(cfg.RecycleFuncs, q) {
+					} else if q := qualifiedFuncName(callee); q != "" && slices.Contains(cfg.RecycleFuncs, q) {
 						next[fn] = fn.Name() + " -> " + callee.Name()
 					}
 					return true
@@ -252,7 +253,7 @@ func checkHandleBody(pass *Pass, body *ast.BlockStmt, params []*ast.Field, handl
 			}
 			why, isRec := rec[callee]
 			if !isRec {
-				if q := qualifiedFuncName(callee); q != "" && containsString(pass.Config.RecycleFuncs, q) {
+				if q := qualifiedFuncName(callee); q != "" && slices.Contains(pass.Config.RecycleFuncs, q) {
 					isRec, why = true, callee.Name()
 				}
 			}

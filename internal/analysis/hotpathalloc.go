@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // HotPathAlloc guards the replay fast path of PR 5: the simulation's
@@ -33,7 +34,7 @@ var HotPathAlloc = &Analyzer{
 }
 
 func runHotPathAlloc(pass *Pass) {
-	if !containsString(pass.Config.HotPkgs, pass.Pkg.Path) {
+	if !slices.Contains(pass.Config.HotPkgs, pass.Pkg.Path) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

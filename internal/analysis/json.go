@@ -10,15 +10,15 @@ import (
 //
 //	{
 //	  "version": 2,
-//	  "checks": ["nodeterminism", "guardedby"], // analyzers that ran
+//	  "checks": ["detflow", "guardedby"], // analyzers that ran
 //	  "count": 2,
 //	  "diagnostics": [
 //	    {
-//	      "check":   "nodeterminism",      // analyzer name
+//	      "check":   "detflow",            // analyzer name
 //	      "file":    "internal/sim/x.go",  // module-root-relative, slash-separated
 //	      "line":    42,                   // 1-based
 //	      "column":  7,                    // 1-based, in bytes
-//	      "message": "call to time.Now ..."
+//	      "message": "nondeterministic value ..."
 //	    }
 //	  ]
 //	}

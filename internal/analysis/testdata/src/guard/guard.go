@@ -137,7 +137,7 @@ func (s *Striped) ResetAll() {
 	}
 }
 
-// --- shared model wrapper (the mmu.Shared shape) ---
+// --- shared model wrapper: one mutex serializes a stateful model ---
 
 // model mutates replacement state on reads as well as writes, so the
 // wrapper below annotates the pointer itself: even a probe that only

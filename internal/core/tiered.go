@@ -148,6 +148,9 @@ func (t *Tiered) ProtectRange(r addr.Range, set, clear pte.Attr) (pagetable.Walk
 	return cost, nil
 }
 
+// LogSBF delegates to the fine tier.
+func (t *Tiered) LogSBF() uint { return t.fine.LogSBF() }
+
 // MapPartial delegates to the fine tier.
 func (t *Tiered) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, valid uint16) error {
 	return t.fine.MapPartial(vpbn, basePPN, attr, valid)

@@ -248,10 +248,10 @@ func (e *Engine) Run(ctx context.Context, name string) ([]ExperimentResult, erro
 			fmt.Fprintf(e.opts.Log, "engine: %s: starting (workers=%d, refs=%d)\n",
 				exp.Name, e.opts.Workers, e.opts.Refs)
 		}
-		start := time.Now() //ptlint:allow nodeterminism Stats.Wall instrumentation; feeds -v stderr logs only, never rendered tables
+		start := time.Now()
 		res, runErr := exp.Run(ctx, rc)
 		st := rc.snapshot()
-		st.Wall = time.Since(start) //ptlint:allow nodeterminism same wall-clock instrumentation as above
+		st.Wall = time.Since(start)
 		if res != nil {
 			out = append(out, ExperimentResult{
 				Name: exp.Name, Tables: res.Tables, Notes: res.Notes, Stats: st,

@@ -102,7 +102,7 @@ var lookupLadder = []int{1, 2, 4, 8}
 func runLookupRung(svc *service.Service, pages []addr.VPN, total, g int, seed uint64) time.Duration {
 	per := total / g
 	var wg sync.WaitGroup
-	start := time.Now() //ptlint:allow nodeterminism Timing experiment: measuring wall time is the point; excluded from byte-identity checks
+	start := time.Now()
 	for w := 0; w < g; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -118,7 +118,7 @@ func runLookupRung(svc *service.Service, pages []addr.VPN, total, g int, seed ui
 		}(w)
 	}
 	wg.Wait()
-	return time.Since(start) //ptlint:allow nodeterminism Timing experiment wall-clock measurement
+	return time.Since(start)
 }
 
 func runConcurrentLookup(ctx context.Context, rc *RunContext) (*Result, error) {
@@ -206,7 +206,7 @@ func runConcurrentMixed(ctx context.Context, rc *RunContext) (*Result, error) {
 				}
 				per := total / workers
 				var wg sync.WaitGroup
-				start := time.Now() //ptlint:allow nodeterminism Timing experiment: measuring wall time is the point; excluded from byte-identity checks
+				start := time.Now()
 				for w := 0; w < workers; w++ {
 					wg.Add(1)
 					go func(w int) {
@@ -228,7 +228,7 @@ func runConcurrentMixed(ctx context.Context, rc *RunContext) (*Result, error) {
 					}(w)
 				}
 				wg.Wait()
-				el := time.Since(start) //ptlint:allow nodeterminism Timing experiment wall-clock measurement
+				el := time.Since(start)
 				rc.CountRefs(uint64(per * workers))
 				rows = append(rows, row{org: org.name, mops: float64(per*workers) / el.Seconds() / 1e6, st: svc.Stats()})
 			}

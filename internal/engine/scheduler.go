@@ -122,7 +122,7 @@ func Fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T]) ([]T, erro
 				if h := rc.eng.opts.Hooks.CellStart; h != nil {
 					h(rc.exp, c.Key)
 				}
-				start := time.Now() //ptlint:allow nodeterminism per-cell wall time feeds the CellDone hook, not cell results
+				start := time.Now()
 				var v T
 				var err error
 				// Profiler labels name the cell in CPU profiles.
@@ -136,7 +136,7 @@ func Fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T]) ([]T, erro
 				results[i] = v
 				rc.done.Add(1)
 				if h := rc.eng.opts.Hooks.CellDone; h != nil {
-					h(rc.exp, c.Key, time.Since(start)) //ptlint:allow nodeterminism hook instrumentation, never rendered tables
+					h(rc.exp, c.Key, time.Since(start))
 				}
 			}
 		}()

@@ -113,6 +113,9 @@ func (t *Table) UnmapSuperpageAtNode(vpn addr.VPN, size addr.Size) error {
 	return nil
 }
 
+// LogSBF implements pagetable.PartialMapper.
+func (t *Table) LogSBF() uint { return t.cfg.LogSBF }
+
 // MapPartial implements pagetable.PartialMapper by leaf replication at
 // every resident site (§4.3).
 func (t *Table) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, valid uint16) error {

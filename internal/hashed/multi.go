@@ -313,6 +313,9 @@ func (t *MultiTable) MapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, siz
 	return nil
 }
 
+// LogSBF implements pagetable.PartialMapper.
+func (t *MultiTable) LogSBF() uint { return t.logSBF }
+
 // MapPartial implements pagetable.PartialMapper.
 func (t *MultiTable) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, valid uint16) error {
 	if valid == 0 {

@@ -207,6 +207,9 @@ func (t *SPIndexTable) blockTaken(vpbn addr.VPBN, valid uint16) bool {
 	return false
 }
 
+// LogSBF implements pagetable.PartialMapper.
+func (t *SPIndexTable) LogSBF() uint { return t.logSBF }
+
 // MapPartial implements pagetable.PartialMapper.
 func (t *SPIndexTable) MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, valid uint16) error {
 	if valid == 0 {

@@ -45,6 +45,9 @@ func (t *Table) MapSuperpage(vpn addr.VPN, ppn addr.PPN, attr pte.Attr, size add
 	return nil
 }
 
+// LogSBF implements pagetable.PartialMapper.
+func (t *Table) LogSBF() uint { return t.cfg.LogSBF }
+
 // MapPartial implements pagetable.PartialMapper by replication: the
 // partial-subblock word is written at every *resident* base site (absent
 // subblocks keep invalid PTEs, so they still fault).

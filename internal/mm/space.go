@@ -215,9 +215,11 @@ func (s *AddressSpace) populatePartialBlock(vpbn addr.VPBN, lo, hi uint64, attr 
 		}
 		pages = append(pages, got{boff, ppn, placed})
 	}
-	// All placed and the table can store psb PTEs → one compact PTE.
+	// All placed and the table can store psb PTEs of this block geometry
+	// → one compact PTE. A table of another geometry would read vpbn and
+	// the valid vector in its own blocks, so it gets base PTEs.
 	if s.policy.UsePartial {
-		if pm, ok := s.pt.(pagetable.PartialMapper); ok && s.logSBF <= 4 {
+		if pm, ok := s.pt.(pagetable.PartialMapper); ok && pm.LogSBF() == s.logSBF && s.logSBF <= 4 {
 			allPlaced := true
 			var mask uint16
 			for _, g := range pages {
@@ -290,7 +292,7 @@ func (s *AddressSpace) maybePromote(vpn addr.VPN, vma *VMA) {
 	if vma.Range.Len < s.policy.PromoteThreshold {
 		return
 	}
-	vpbn, _ := addr.BlockSplit(vpn, s.logSBF)
+	vpbn, _ := addr.BlockSplit(vpn, ct.LogSBF())
 	switch ct.TryPromote(vpbn) {
 	case core.PromoteSuperpage:
 		if s.policy.UseSuperpages {
@@ -385,7 +387,7 @@ func (s *AddressSpace) Demote(vpn addr.VPN) bool {
 	if !ok {
 		return false
 	}
-	vpbn, _ := addr.BlockSplit(vpn, s.logSBF)
+	vpbn, _ := addr.BlockSplit(vpn, ct.LogSBF())
 	return ct.Demote(vpbn)
 }
 

@@ -9,6 +9,7 @@ import (
 	"clusterpt/internal/linear"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
+	"clusterpt/internal/trace"
 )
 
 func newSpace(t *testing.T, pt pagetable.PageTable, frames uint64, pol Policy) *AddressSpace {
@@ -342,5 +343,44 @@ func TestForkUnderMemoryPressure(t *testing.T) {
 	}
 	if _, err := parent.Fork(core.MustNew(core.Config{})); err == nil {
 		t.Error("fork succeeded beyond physical memory")
+	}
+}
+
+// TestPartialPTEsMatchTableGeometry populates a gcc snapshot with
+// partial-subblock PTEs enabled onto clustered tables whose subblock
+// factor differs from the allocator's 16-page blocks. A block number of
+// the allocator's geometry names another block in the table's, so such
+// tables must get base PTEs: every placed page has to look up to the
+// frame it was given.
+func TestPartialPTEsMatchTableGeometry(t *testing.T) {
+	p, _ := trace.ProfileByName("gcc")
+	snap := p.ProcSnapshot(0)
+	for _, sbf := range []int{2, 8, 16} {
+		ct := core.MustNew(core.Config{SubblockFactor: sbf})
+		s := newSpace(t, ct, (snap.MappedPages()*2+79)&^15, Policy{UsePartial: true})
+		placed := map[addr.VPN]addr.PPN{}
+		s.OnMap = func(vpn addr.VPN, ppn addr.PPN, _ pte.Attr) { placed[vpn] = ppn }
+		for _, r := range snap.Regions {
+			if err := s.Reserve(r.Range(), r.Spec.Attr, r.Spec.Name); err != nil {
+				t.Fatal(err)
+			}
+			for _, vpn := range r.Pages {
+				if err := s.Populate(addr.PageRange(addr.VAOf(vpn), 1)); err != nil {
+					t.Fatalf("sbf %d: populate %#x: %v", sbf, uint64(vpn), err)
+				}
+			}
+		}
+		if got, want := uint64(len(placed)), snap.MappedPages(); got != want {
+			t.Fatalf("sbf %d: %d pages placed, want %d", sbf, got, want)
+		}
+		for vpn, ppn := range placed {
+			e, _, ok := ct.Lookup(addr.VAOf(vpn))
+			if !ok || e.PPN != ppn {
+				t.Fatalf("sbf %d: page %#x looks up to (%#x, %v), want frame %#x", sbf, uint64(vpn), uint64(e.PPN), ok, uint64(ppn))
+			}
+		}
+		if st := s.Stats(); (sbf == 16) != (st.PartialPTEs > 0) {
+			t.Errorf("sbf %d: %d partial-subblock PTEs; want them only in the allocator's geometry", sbf, st.PartialPTEs)
+		}
 	}
 }

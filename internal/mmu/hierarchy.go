@@ -215,16 +215,6 @@ func (h *Hierarchy) Stats() Stats {
 	return s
 }
 
-// LevelStats returns each level's own counters, top first. Display
-// names come from LevelNames at report time.
-func (h *Hierarchy) LevelStats() []Stats {
-	out := make([]Stats, len(h.levels))
-	for i := range h.levels {
-		out[i] = h.levels[i].Level.Stats()
-	}
-	return out
-}
-
 // LevelNames returns each level's structural name, top first.
 func (h *Hierarchy) LevelNames() []string {
 	out := make([]string, len(h.levels))

@@ -164,9 +164,9 @@ func TestHierarchyL2AbsorbsMisses(t *testing.T) {
 	// from the 2-entry L1, so this is an L2 hit), then again — the
 	// second access must hit in the L1 alone.
 	h.Access(addr.VAOf(0))
-	l1Hits := h.LevelStats()[0].Hits
+	l1Hits := l1.Stats().Hits
 	h.Access(addr.VAOf(0))
-	if h.LevelStats()[0].Hits != l1Hits+1 {
+	if l1.Stats().Hits != l1Hits+1 {
 		t.Fatal("L2 hit did not refill the L1")
 	}
 }

@@ -130,6 +130,9 @@ type PartialMapper interface {
 	// block vpbn: basePPN is the first frame of the properly-placed frame
 	// block and valid the resident-subblock vector.
 	MapPartial(vpbn addr.VPBN, basePPN addr.PPN, attr pte.Attr, valid uint16) error
+	// LogSBF returns log2 of the subblock factor: the block geometry in
+	// which MapPartial reads vpbn and valid.
+	LogSBF() uint
 }
 
 // UpperWalker is implemented by organizations whose walk descends fixed

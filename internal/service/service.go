@@ -22,20 +22,20 @@
 //     out.
 //
 // A Service holds R replicas of one logical table; R=1 is the plain
-// single-table service. Each replica owns its table, stripe locks,
-// translation cache and optional hierarchy model, so a reader bound to
-// one through a Node shares no mutable cache line with readers bound to
-// other replicas (Mitosis' read locality). Every write round is a
-// two-phase broadcast (numaPTE's replica-coherence cost):
+// single-table service. Each replica owns its table, stripe locks and
+// translation cache, so a reader bound to one through a Node shares no
+// mutable cache line with readers bound to other replicas (Mitosis'
+// read locality). Every write round is a two-phase broadcast (numaPTE's
+// replica-coherence cost):
 //
 //	phase 1  lock the block's stripe on EVERY replica, in ascending
 //	         replica order (the single global order — two conflicting
 //	         writers serialize instead of deadlocking), apply the
 //	         mutation to each replica's table, and stamp the replica's
 //	         sequence counter on success;
-//	phase 2  invalidate the affected cache slots and local hierarchies
-//	         on every replica, unlock, and charge the modeled shootdown
-//	         for the remote replicas.
+//	phase 2  invalidate the affected cache slots on every replica,
+//	         unlock, and charge the modeled shootdown for the remote
+//	         replicas.
 //
 // Conflicting writes hold all copies of the stripe for their whole
 // apply, so every replica observes them in the same order: replicas
@@ -60,7 +60,6 @@ import (
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
-	"clusterpt/internal/mmu"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
 )
@@ -270,10 +269,6 @@ type replica struct {
 	table   pagetable.PageTable //ptlint:guardedby stripes[*].mu
 	stripes []stripe
 	cache   []slot
-	// mmuh, when attached, is the modeled hardware translation hierarchy
-	// in front of this replica. Atomic so AttachMMU is safe against
-	// in-flight traffic; nil costs one atomic load per operation.
-	mmuh atomic.Pointer[mmu.Shared]
 	// seq stamps successful write rounds when R > 1. Writers bump it
 	// under the stripe lock; quiescent readers compare stamps across
 	// replicas to audit convergence.
@@ -304,26 +299,19 @@ func (p *replica) slotFor(vpn addr.VPN) *slot {
 
 // hit resolves va from the translation cache, lock-free, returning the
 // packed word and partial-subblock offset for the caller to decode into
-// its own result. An attached hierarchy model is driven with the
-// translation at zero walk cost: a hit touches no table memory. A racing
-// invalidation may land after the slot load — the same staleness window
-// a real TLB has between a fill and its shootdown.
+// its own result. A racing invalidation may land after the slot load —
+// the same staleness window a real TLB has between a fill and its
+// shootdown.
 func (p *replica) hit(va addr.V) (w pte.Word, boff uint64, ok bool) {
 	vpn := addr.VPNOf(va)
-	if w, boff, ok = p.slotFor(vpn).load(vpn); ok {
-		if h := p.mmuh.Load(); h != nil {
-			h.Translate(va, pte.EntryFromWord(w, vpn, boff), pagetable.WalkCost{})
-		}
-	}
-	return w, boff, ok
+	return p.slotFor(vpn).load(vpn)
 }
 
 // walk resolves a cache miss: it walks the table under the stripe's read
 // lock and publishes the result, returning the walk's line count. The
 // fill must complete inside the read-side critical section so a write
 // round on the same stripe cannot order its invalidation between the
-// walk and the publish; an attached hierarchy model is filled inside it
-// for the same reason.
+// walk and the publish.
 func (p *replica) walk(va addr.V) (e pte.Entry, lines int, ok bool) {
 	vpn := addr.VPNOf(va)
 	mu := p.stripeFor(vpn)
@@ -331,9 +319,6 @@ func (p *replica) walk(va addr.V) (e pte.Entry, lines int, ok bool) {
 	e, cost, ok := p.table.Lookup(va)
 	if ok {
 		p.slotFor(vpn).fill(e)
-		if h := p.mmuh.Load(); h != nil {
-			h.Translate(va, e, cost)
-		}
 	}
 	mu.RUnlock()
 	return e, cost.Lines, ok
@@ -424,28 +409,6 @@ func (s *Service) Table() pagetable.PageTable { return s.replicas[0].table }
 // Nodes returns the modeled node count; Node accepts ids 0..Nodes-1.
 func (s *Service) Nodes() int { return s.cfg.NUMA.Nodes }
 
-// AttachMMU gives every replica its own modeled hardware translation
-// hierarchy: build is called once per replica (nil build, or a nil
-// return, leaves that replica bare). Once attached, every lookup a
-// replica resolves drives its hierarchy through Translate (probe,
-// walk-filter and fill under Shared's own mutex), every write round
-// shoots the written pages down on each replica's hierarchy, and Reset
-// flushes them all — so Stats()/LevelStats() report what the composed
-// TLB stack would have done over the service's concurrent traffic.
-// Attach before or during traffic; detach with AttachMMU(nil).
-func (s *Service) AttachMMU(build func(i int) *mmu.Shared) {
-	for i, rep := range s.replicas {
-		var h *mmu.Shared
-		if build != nil {
-			h = build(i)
-		}
-		rep.mmuh.Store(h)
-	}
-}
-
-// MMU returns replica i's attached hierarchy model, or nil.
-func (s *Service) MMU(i int) *mmu.Shared { return s.replicas[i].mmuh.Load() }
-
 // localTo reports whether node id's home replica is on its own node:
 // replicas live on nodes 0..R-1, and nodes beyond them round-robin onto
 // the existing replicas over the interconnect.
@@ -513,9 +476,6 @@ func (s *Service) broadcast(origin int, vpns []addr.VPN, apply func(t pagetable.
 	for _, rep := range s.replicas {
 		for _, vpn := range vpns {
 			rep.dropSlot(vpn)
-		}
-		if h := rep.mmuh.Load(); h != nil {
-			h.InvalidateBatch(vpns)
 		}
 		rep.stripes[si].mu.Unlock()
 	}
@@ -703,7 +663,7 @@ func (s *Service) demoteAt(origin int, vpn addr.VPN) bool {
 }
 
 // Reset rewinds every replica's table (when the organization implements
-// pagetable.Resetter), flushes every cache and hierarchy, and zeroes
+// pagetable.Resetter), flushes every cache, and zeroes
 // all counters, sequence stamps and the shootdown tally. Callers must
 // be quiescent; every stripe of every replica is held exclusively for
 // the duration, in the same (replica, stripe) order the broadcast uses,
@@ -721,9 +681,6 @@ func (s *Service) Reset() {
 		for i := range rep.cache {
 			c := &rep.cache[i]
 			c.drop(tagVPN(c.tag.Load()))
-		}
-		if h := rep.mmuh.Load(); h != nil {
-			h.Shootdown()
 		}
 		rep.seq.Store(0)
 		rep.hits.Store(0)

@@ -10,8 +10,7 @@
 // per entry.
 //
 // A Cache is a single-goroutine model and is not safe for concurrent
-// use; mmu.Shared is the serializer for a hierarchy that goroutines
-// share.
+// use.
 package swtlb
 
 import (
@@ -88,8 +87,7 @@ type Stats = mmu.Stats
 //
 // A Cache is a single-goroutine model, like tlb.TLB and walkcache.PWC:
 // every probe moves its replacement state, so it is not safe for
-// concurrent use. Goroutines that share a hierarchy go through
-// mmu.Shared, which serializes every call into its levels.
+// concurrent use.
 type Cache struct {
 	cfg     Config
 	backing pagetable.PageTable
